@@ -705,7 +705,7 @@ let perf_benches () =
     let transform =
       match Stage.compile [ stage ] with
       | Some f, None -> Filter.keep_all f
-      | None, Some t -> t
+      | None, Some t -> Replay.stage_batch t
       | _ -> fun evs -> evs
     in
     let (), st_dt =

@@ -156,7 +156,6 @@ let trace_cmd =
     (* Re-run the suite with a file sink attached; the trace is raw
        (unfiltered), as a kernel tracer would deliver it. *)
     let oc = if binary then open_out_bin file else open_out file in
-    let coverage = Coverage.create () in
     let writer = if binary then Some (Iocov_trace.Binary_io.writer oc) else None in
     let sink =
       match writer with
@@ -165,10 +164,9 @@ let trace_cmd =
     in
     (match suite with
      | Runner.Crashmonkey ->
-       ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ~sink ~coverage ())
-     | Runner.Xfstests ->
-       ignore (Iocov_suites.Xfstests.run ~seed ~scale ~sink ~coverage ())
-     | Runner.Ltp -> ignore (Iocov_suites.Ltp.run ~seed ~scale ~sink ~coverage ()));
+       ignore (Iocov_suites.Crashmonkey.run ~seed ~scale ~sink ())
+     | Runner.Xfstests -> ignore (Iocov_suites.Xfstests.run ~seed ~scale ~sink ())
+     | Runner.Ltp -> ignore (Iocov_suites.Ltp.run ~seed ~scale ~sink ()));
     Option.iter Iocov_trace.Binary_io.flush writer;
     close_out oc;
     Printf.printf "wrote %s\n" file

@@ -48,7 +48,19 @@ let m_checkpoint_events =
 
 let default_batch = 1024
 
-type stage = Event.t list -> Event.t list
+(* A compiled per-record stage chain.  Each call makes a fresh
+   instance: a step ([None] drops the record) and a [credit] that
+   flushes the meter counts the step tallied.  The chain is shareable
+   across domains; an instance is not. *)
+type stage = unit -> (Event.t -> Event.t option) * (unit -> unit)
+
+(* The batch form the channel path runs: one instance per batch, so a
+   batch stays a pure transform that supervision may re-run. *)
+let stage_batch (stage : stage) events =
+  let step, credit = stage () in
+  let out = List.filter_map step events in
+  credit ();
+  out
 
 (* Channel capacity in batches.  Small multiple of the worker count:
    enough slack to ride out scheduling jitter, small enough that decode
@@ -169,8 +181,8 @@ let compile_keep ?filter ?stage () =
   match (filter, stage) with
   | None, None -> fun events -> events
   | Some f, None -> Filter.keep_all f
-  | None, Some s -> s
-  | Some f, Some s -> fun events -> s (Filter.keep_all f events)
+  | None, Some s -> stage_batch s
+  | Some f, Some s -> fun events -> stage_batch s (Filter.keep_all f events)
 
 let prepare keep work =
   let errors = ref [] in
@@ -211,6 +223,29 @@ let commit ~ingest st p =
   Metrics.Counter.incr m_batches;
   Metrics.Counter.add m_events p.p_n
 
+let note_retry st ~trace_args ~attempt =
+  st.s_retried <- st.s_retried + 1;
+  Metrics.Counter.incr m_retries;
+  Trace_event.instant ~cat:"supervise"
+    ~args:(trace_args @ [ ("attempt", string_of_int attempt) ])
+    "batch-retry"
+
+let abandon_batch ~ingest ~(policy : Pool.policy) st ~trace_args ~lost exn =
+  let msg =
+    Printf.sprintf "batch failed after %d retries: %s" policy.Pool.max_retries
+      (Printexc.to_string exn)
+  in
+  st.s_abandoned_batches <- st.s_abandoned_batches + 1;
+  st.s_abandoned_events <- st.s_abandoned_events + lost;
+  Metrics.Counter.incr m_abandoned;
+  Trace_event.instant ~cat:"supervise"
+    ~args:(trace_args @ [ ("events_lost", string_of_int lost) ])
+    "batch-abandoned";
+  shard_note st (Anomaly.v Anomaly.Batch_abandoned msg);
+  match ingest with
+  | Strict -> if st.s_fatal = None then st.s_fatal <- Some msg
+  | Lenient _ -> ()
+
 (* Run one batch under supervision: retry [prepare] (with deterministic
    backoff) on any exception except {!Pool.Shard_killed}, which is a
    terminal shard failure and propagates to the worker loop.  A batch
@@ -239,38 +274,18 @@ let supervised_batch ~ingest ~(policy : Pool.policy) ~chaos ~keep st ~shard ~bat
     | exception (Pool.Shard_killed _ as e) -> raise e
     | exception exn ->
       if n < policy.Pool.max_retries then begin
-        st.s_retried <- st.s_retried + 1;
-        Metrics.Counter.incr m_retries;
-        Trace_event.instant ~cat:"supervise"
-          ~args:(trace_args @ [ ("attempt", string_of_int (n + 1)) ])
-          "batch-retry";
+        note_retry st ~trace_args ~attempt:(n + 1);
         Pool.backoff policy ~attempt:(n + 1);
         attempt (n + 1)
       end
-      else begin
-        let lost = work_size w in
-        let msg =
-          Printf.sprintf "batch failed after %d retries: %s" policy.Pool.max_retries
-            (Printexc.to_string exn)
-        in
-        st.s_abandoned_batches <- st.s_abandoned_batches + 1;
-        st.s_abandoned_events <- st.s_abandoned_events + lost;
-        Metrics.Counter.incr m_abandoned;
-        Trace_event.instant ~cat:"supervise"
-          ~args:(trace_args @ [ ("events_lost", string_of_int lost) ])
-          "batch-abandoned";
-        shard_note st (Anomaly.v Anomaly.Batch_abandoned msg);
-        match ingest with
-        | Strict -> if st.s_fatal = None then st.s_fatal <- Some msg
-        | Lenient _ -> ()
-      end
+      else abandon_batch ~ingest ~policy st ~trace_args ~lost:(work_size w) exn
   in
   attempt 0
 
-let record_kill st msg w =
+let record_kill st msg ~lost =
   st.s_killed <- Some msg;
   st.s_abandoned_batches <- st.s_abandoned_batches + 1;
-  st.s_abandoned_events <- st.s_abandoned_events + work_size w;
+  st.s_abandoned_events <- st.s_abandoned_events + lost;
   shard_note st (Anomaly.v Anomaly.Shard_failed msg);
   Trace_event.instant ~cat:"supervise" ~args:[ ("detail", msg) ] "shard-killed";
   Metrics.Counter.incr m_shards_failed
@@ -290,7 +305,7 @@ let worker_loop ~ingest ~policy ~chaos ~keep ~chan ~live st ~shard =
       match supervised_batch ~ingest ~policy ~chaos ~keep st ~shard ~batchno:b w with
       | () -> loop ()
       | exception Pool.Shard_killed msg ->
-        record_kill st msg w;
+        record_kill st msg ~lost:(work_size w);
         if Atomic.fetch_and_add live (-1) = 1 then Chan.close chan)
   in
   loop ()
@@ -489,7 +504,7 @@ let run_pipeline ~pool ~counters ~ingest ~policy ~chaos ?expose_shard ?watch ~fe
       match supervised_batch ~ingest ~policy ~chaos ~keep st ~shard:0 ~batchno:b w with
       | () -> watching ~peek:(view_shard st)
       | exception Pool.Shard_killed msg ->
-        record_kill st msg w;
+        record_kill st msg ~lost:(work_size w);
         raise Halted
     in
     (match
@@ -835,99 +850,208 @@ let analyze_file ?pool ?(batch = default_batch) ?(counters = Dense) ?(ingest = S
 (* --- the push-based session, for live tracers --- *)
 
 type session = {
-  batch_size : int;
-  mutable buf : Event.t list;  (* newest first *)
-  mutable buf_n : int;
-  submit : work -> unit;
+  push : Event.t -> unit;
   peek : unit -> (Coverage.t * int) option;  (* inline shard only *)
   view : unit -> view option;  (* cheap cell view, inline shard only *)
   complete : unit -> (outcome, string) result;
 }
 
+(* The inline (--jobs 1) session consumes each record as it arrives:
+   a mount verdict from the session's own memo, the stage chain's step,
+   then the counter bump.  No list is built, so nothing a record
+   allocates outlives the minor heap.  A batch survives only as the
+   metering unit: every [batch] records the tallies are credited
+   exactly as the channel path credits one committed batch, so metric
+   totals agree at any job count.  Supervision is per record: a failing
+   step is retried (a step touches no shard state), and when its
+   retries run out the rest of its batch is abandoned — records already
+   counted stay counted, the others are an accounted loss. *)
+type inline = {
+  st : shard_state;
+  batch : int;
+  ingest : ingest;
+  policy : Pool.policy;
+  memo : Filter.Memo.t option;  (* shard-local: the filter stays shareable *)
+  step : (Event.t -> Event.t option) option;
+  credit : unit -> unit;
+  observe : Iocov_syscall.Model.call -> Iocov_syscall.Model.outcome -> unit;
+  m_observed : Metrics.Counter.t;
+  mutable pushed : int;
+  mutable b_events : int;  (* records of the open batch: committed ... *)
+  mutable b_kept : int;
+  mutable b_lost : int;  (* ... and abandoned *)
+  mutable b_no : int;
+  mutable b_start : float;  (* trace timestamp, when tracing *)
+}
+
+let inline_args s = [ ("shard", "0"); ("batch", string_of_int s.b_no) ]
+
+let close_batch s =
+  let st = s.st in
+  Option.iter Filter.Memo.credit s.memo;
+  s.credit ();
+  if s.b_lost = 0 then begin
+    st.s_batches <- st.s_batches + 1;
+    Metrics.Counter.incr m_batches
+  end;
+  Metrics.Counter.add m_events s.b_events;
+  Metrics.Counter.add s.m_observed s.b_kept;
+  if s.b_start > 0.0 then
+    Trace_event.complete ~cat:"stage" ~name:"batch"
+      ~args:
+        (inline_args s
+        @ [ ("events", string_of_int s.b_events); ("kept", string_of_int s.b_kept) ])
+      ~ts:s.b_start
+      ~dur:(Clock.now () -. s.b_start)
+      ();
+  s.b_no <- s.b_no + 1;
+  s.b_start <- 0.0;
+  s.b_events <- 0;
+  s.b_kept <- 0;
+  s.b_lost <- 0
+
+(* The record's step under supervision; [None] when it dropped the
+   record or its retries ran out (then [b_lost] counts it). *)
+let rec supervised_step s step e n =
+  match step e with
+  | r -> r
+  | exception Pool.Shard_killed msg ->
+    record_kill s.st msg ~lost:1;
+    s.b_lost <- 1;
+    None
+  | exception exn ->
+    if n < s.policy.Pool.max_retries then begin
+      note_retry s.st ~trace_args:(inline_args s) ~attempt:(n + 1);
+      Pool.backoff s.policy ~attempt:(n + 1);
+      supervised_step s step e (n + 1)
+    end
+    else begin
+      abandon_batch ~ingest:s.ingest ~policy:s.policy s.st ~trace_args:(inline_args s)
+        ~lost:1 exn;
+      s.b_lost <- 1;
+      None
+    end
+
+let observe_one s (e : Event.t) =
+  (match e.payload with
+   | Event.Tracked call -> s.observe call e.outcome
+   | Event.Aux _ -> ());
+  s.b_kept <- s.b_kept + 1;
+  s.st.s_kept <- s.st.s_kept + 1
+
+let inline_push s e =
+  s.pushed <- s.pushed + 1;
+  let st = s.st in
+  if st.s_killed = None then begin
+    if s.b_events = 0 && s.b_lost = 0 && Trace_event.enabled () then
+      s.b_start <- Clock.now ();
+    if s.b_lost > 0 then begin
+      (* the rest of an abandoned batch *)
+      s.b_lost <- s.b_lost + 1;
+      st.s_abandoned_events <- st.s_abandoned_events + 1
+    end
+    else begin
+      (match s.memo with
+       | Some m when not (Filter.Memo.decide m e) -> ()
+       | _ -> (
+         match s.step with
+         | None -> observe_one s e
+         | Some step -> (
+           match supervised_step s step e 0 with
+           | Some e -> observe_one s e
+           | None -> ())));
+      if s.b_lost = 0 then begin
+        s.b_events <- s.b_events + 1;
+        st.s_events <- st.s_events + 1
+      end
+    end;
+    if s.b_events + s.b_lost >= s.batch then close_batch s
+  end
+
+let inline_session ~batch ~counters ~ingest ~policy ?filter ?stage () =
+  let st = make_shard ~counters ~metered:true () in
+  let observe, m_observed =
+    match st.acc with
+    | A_ref cov -> (Coverage.observe cov, m_observed_reference)
+    | A_dense d -> (Coverage.Dense.observe d, m_observed_dense)
+  in
+  let step, credit =
+    match stage with
+    | Some stage ->
+      let step, credit = stage () in
+      (Some step, credit)
+    | None -> (None, ignore)
+  in
+  let s =
+    {
+      st; batch; ingest; policy;
+      memo = Option.map Filter.Memo.create filter;
+      step; credit; observe; m_observed;
+      pushed = 0; b_events = 0; b_kept = 0; b_lost = 0; b_no = 0; b_start = 0.0;
+    }
+  in
+  {
+    push = inline_push s;
+    peek = peek_shard st;
+    view = view_shard st;
+    complete =
+      (fun () ->
+        if s.b_events + s.b_lost > 0 then close_batch s;
+        finalize ~ingest ~pushed:s.pushed ~producer:(Anomaly.clean ~events_read:0) [| st |]);
+  }
+
+(* Sharded sessions buffer records into batches for the channel. *)
+let sharded_session ~pool ~batch ~counters ~ingest ~policy ?filter ?stage () =
+  let keep = compile_keep ?filter ?stage () in
+  let jobs = Pool.jobs pool in
+  let chan = Chan.create ~capacity:(capacity_for jobs) in
+  let live = Atomic.make jobs in
+  let running =
+    Pool.launch pool (fun ~shard ->
+        let st = make_shard ~counters ~metered:false () in
+        Span.with_ ~name:(Printf.sprintf "par/shard-%d" shard) (fun () ->
+            worker_loop ~ingest ~policy ~chaos:None ~keep ~chan ~live st ~shard);
+        st)
+  in
+  let pushed = ref 0 and buf = ref [] and buf_n = ref 0 in
+  let submit () =
+    if !buf_n > 0 then begin
+      let w = Events (List.rev !buf) in
+      pushed := !pushed + !buf_n;
+      buf := [];
+      buf_n := 0;
+      (* every worker dead: the events are accounted as stranded *)
+      try Chan.push chan w with Chan.Closed -> ()
+    end
+  in
+  {
+    push =
+      (fun e ->
+        buf := e :: !buf;
+        incr buf_n;
+        if !buf_n >= batch then submit ());
+    peek = (fun () -> None);
+    view = (fun () -> None);
+    complete =
+      (fun () ->
+        submit ();
+        Chan.close chan;
+        finalize ~ingest ~pushed:!pushed ~producer:(Anomaly.clean ~events_read:0)
+          (Pool.join running));
+  }
+
 let session ?pool ?(batch = default_batch) ?(counters = Dense) ?(ingest = Strict) ?policy
-    ?chaos ?filter ?stage () =
+    ?filter ?stage () =
   if batch <= 0 then invalid_arg "Replay.session: batch must be positive";
   let pool = or_default pool in
   let policy = or_policy policy in
-  let keep = compile_keep ?filter ?stage () in
-  let pushed = ref 0 in
-  if Pool.jobs pool = 1 then begin
-    let st = make_shard ~counters ~metered:true () in
-    let batchno = ref 0 in
-    {
-      batch_size = batch;
-      buf = [];
-      buf_n = 0;
-      submit =
-        (fun w ->
-          pushed := !pushed + work_size w;
-          if st.s_killed = None then begin
-            let b = !batchno in
-            incr batchno;
-            match supervised_batch ~ingest ~policy ~chaos ~keep st ~shard:0 ~batchno:b w with
-            | () -> ()
-            | exception Pool.Shard_killed msg -> record_kill st msg w
-          end);
-      peek = peek_shard st;
-      view = view_shard st;
-      complete =
-        (fun () ->
-          finalize ~ingest ~pushed:!pushed ~producer:(Anomaly.clean ~events_read:0) [| st |]);
-    }
-  end
-  else begin
-    let jobs = Pool.jobs pool in
-    let chan = Chan.create ~capacity:(capacity_for jobs) in
-    let live = Atomic.make jobs in
-    let running =
-      Pool.launch pool (fun ~shard ->
-          let st = make_shard ~counters ~metered:false () in
-          Span.with_ ~name:(Printf.sprintf "par/shard-%d" shard) (fun () ->
-              worker_loop ~ingest ~policy ~chaos ~keep ~chan ~live st ~shard);
-          st)
-    in
-    {
-      batch_size = batch;
-      buf = [];
-      buf_n = 0;
-      submit =
-        (fun w ->
-          pushed := !pushed + work_size w;
-          (* every worker dead: the events are accounted as stranded *)
-          try Chan.push chan w with Chan.Closed -> ());
-      peek = (fun () -> None);
-      view = (fun () -> None);
-      complete =
-        (fun () ->
-          Chan.close chan;
-          finalize ~ingest ~pushed:!pushed ~producer:(Anomaly.clean ~events_read:0)
-            (Pool.join running));
-    }
-  end
+  if Pool.jobs pool = 1 then inline_session ~batch ~counters ~ingest ~policy ?filter ?stage ()
+  else sharded_session ~pool ~batch ~counters ~ingest ~policy ?filter ?stage ()
 
-let flush s =
-  if s.buf_n > 0 then begin
-    s.submit (Events (List.rev s.buf));
-    s.buf <- [];
-    s.buf_n <- 0
-  end
-
-let sink s e =
-  s.buf <- e :: s.buf;
-  s.buf_n <- s.buf_n + 1;
-  if s.buf_n >= s.batch_size then flush s
-
-let progress s =
-  flush s;
-  s.peek ()
-
-let progress_view s =
-  flush s;
-  s.view ()
-
-let complete s =
-  flush s;
-  s.complete ()
+let sink s e = s.push e
+let progress s = s.peek ()
+let progress_view s = s.view ()
+let complete s = s.complete ()
 
 let finish s =
   match complete s with

@@ -89,13 +89,22 @@ type outcome = {
 val default_batch : int
 (** Events per work batch when [?batch] is omitted (1024). *)
 
-type stage = Iocov_trace.Event.t list -> Iocov_trace.Event.t list
-(** A batch-level transform applied on the worker shards {e after} the
-    mount filter: the compiled form of an [Iocov_pipe.Stage] chain.
-    Must be pure and deterministic (it runs on any shard, and a batch
-    may be re-run by supervision's retries).  Omitted, or the identity,
-    the engine behaves exactly as before the pipe layer existed —
-    which is what keeps the byte-identical coverage contract. *)
+type stage =
+  unit -> (Iocov_trace.Event.t -> Iocov_trace.Event.t option) * (unit -> unit)
+(** A compiled per-record stage chain, applied {e after} the mount
+    filter: the compiled form of an [Iocov_pipe.Stage] chain.  Each
+    call makes a fresh instance — a step ([None] drops the record) and
+    a [credit] that flushes the meter counts the step has tallied; the
+    engine credits once per batch.  The chain may be shared across
+    domains, an instance may not.  Steps must be pure and
+    deterministic (supervision may re-run one after an exception).
+    Omitted, the engine behaves exactly as before the pipe layer
+    existed — which is what keeps the byte-identical coverage
+    contract. *)
+
+val stage_batch : stage -> Iocov_trace.Event.t list -> Iocov_trace.Event.t list
+(** The batch form: one fresh instance over the list, credited once.
+    What the channel path's worker shards run. *)
 
 type view = {
   v_cells : int -> int;  (** observation count by {!Iocov_core.Plan} cell id *)
@@ -171,35 +180,44 @@ val analyze_file :
 (** {1 Push-based sessions}
 
     For live sources (suite tracers) that emit one event at a time.
-    Events are buffered into batches and dispatched to the shards;
-    {!finish} flushes, joins, and merges. *)
+    At [jobs = 1] each event is filtered (through a session-local
+    {!Iocov_trace.Filter.Memo}), staged and counted as it arrives;
+    batches remain only as the metering unit, so metric totals equal
+    the channel path's.  Sharded sessions buffer events into batches
+    and dispatch them to the shards.  {!complete} joins and merges. *)
 
 type session
 
 val session :
   ?pool:Pool.t -> ?batch:int -> ?counters:counters -> ?ingest:ingest ->
-  ?policy:Pool.policy -> ?chaos:chaos ->
+  ?policy:Pool.policy ->
   ?filter:Iocov_trace.Filter.t -> ?stage:stage -> unit -> session
+(** At [jobs = 1] supervision is per event: a stage step that raises is
+    retried under [policy]; when the retries run out, the rest of that
+    event's batch is abandoned — an accounted loss in lenient mode, a
+    run error in strict mode — while events already counted stay
+    counted. *)
 
 val sink : session -> Iocov_trace.Event.t -> unit
 
 val progress : session -> (Iocov_core.Coverage.t * int) option
-(** Flush pending events and report the coverage accumulated so far
-    with the number of events analyzed — a fresh copy, safe to persist.
-    Inline sessions (jobs = 1) only; [None] for sharded sessions, whose
-    accumulators are private to their worker domains.  The pipe
-    driver's live-checkpointing hook. *)
+(** The coverage accumulated so far with the number of events analyzed
+    — a fresh copy, safe to persist.  Inline sessions (jobs = 1) only;
+    [None] for sharded sessions, whose accumulators are private to
+    their worker domains.  The pipe driver's live-checkpointing hook.
+    Never cuts a batch: batch boundaries (and so the metric totals) do
+    not depend on how often progress is read. *)
 
 val progress_view : session -> view option
-(** Flush pending events and {!view} the inline accumulator in place —
-    the cheap variant for progress snapshots, which only read cell
-    counts.  [None] for sharded sessions. *)
+(** {!view} the inline accumulator in place — the cheap variant for
+    progress snapshots, which only read cell counts.  [None] for
+    sharded sessions. *)
 
 val complete : session -> (outcome, string) result
-(** Flush any partial batch, close the channel, join the workers, and
-    merge.  Must be called exactly once per session.  Errors (strict
-    parse failures, exhausted error budgets) are values, never
-    exceptions — the pipe driver's shape. *)
+(** Credit or dispatch the partial batch, close the channel, join the
+    workers, and merge.  Must be called exactly once per session.
+    Errors (strict stage failures, exhausted error budgets) are values,
+    never exceptions — the pipe driver's shape. *)
 
 val finish : session -> outcome
 (** {!complete}, unwrapping [Error] into [Failure]. *)

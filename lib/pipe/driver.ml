@@ -164,13 +164,13 @@ let run_live ~pool ~cfg ~filter ~stage ~ckpt ~watch ~label feed =
       | None -> emit
       | Some w ->
         let pushed = ref 0 in
-        (* [peek] flushes the session's partial batch, which is safe
-           (and only happens) when a snapshot actually fires; one shared
-           closure keeps the per-event path allocation-free.  The watch
-           itself is only consulted every [watch_stride] events — its
-           threshold check is cheap but not free, and at millions of
-           events per second even two closure calls per event register
-           on the replay bench. *)
+        (* [peek] reads the session's accumulator in place and only
+           runs when a snapshot actually fires; one shared closure keeps
+           the per-event path allocation-free.  The watch itself is only
+           consulted every [watch_stride] events — its threshold check
+           is cheap but not free, and at millions of events per second
+           even two closure calls per event register on the replay
+           bench. *)
         let peek () = Replay.progress_view s in
         fun ev ->
           emit ev;

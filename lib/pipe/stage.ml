@@ -17,26 +17,46 @@ let name = function
   | Map { name; _ } -> name
   | Meter { name; _ } -> name
 
-(* Resolve each stage to its batch transform once, at compile time —
-   the per-batch path does no registry lookups. *)
-let transform_of = function
-  | Keep f -> Filter.keep_all f
-  | Map { f; _ } -> List.filter_map f
+(* Resolve each stage once, at compile time — the per-record path does
+   no registry lookups.  Each instance tallies locally and credits its
+   counters when the engine closes a batch. *)
+let instance_of = function
+  | Keep f ->
+    fun () ->
+      let m = Filter.Memo.create f in
+      ( (fun e -> if Filter.Memo.decide m e then Some e else None),
+        fun () -> Filter.Memo.credit m )
+  | Map { f; _ } -> fun () -> (f, ignore)
   | Meter { name } ->
     let c =
       Metrics.counter Metrics.default "iocov_pipe_stage_events_total"
         ~labels:[ ("stage", name) ]
         ~help:"Events entering a metered pipeline stage."
     in
-    fun events ->
-      Metrics.Counter.add c (List.length events);
-      events
+    fun () ->
+      let n = ref 0 in
+      ( (fun e ->
+          incr n;
+          Some e),
+        fun () ->
+          Metrics.Counter.add c !n;
+          n := 0 )
+
+let rec run_steps e = function
+  | [] -> Some e
+  | step :: rest -> (
+    match step e with
+    | Some e -> run_steps e rest
+    | None -> None)
 
 let chain = function
   | [] -> None
   | stages ->
-    let fns = List.map transform_of stages in
-    Some (fun events -> List.fold_left (fun evs f -> f evs) events fns)
+    let makers = List.map instance_of stages in
+    Some
+      (fun () ->
+        let steps, credits = List.split (List.map (fun make -> make ()) makers) in
+        ((fun e -> run_steps e steps), fun () -> List.iter (fun credit -> credit ()) credits))
 
 let compile = function
   | Keep f :: rest -> (Some f, chain rest)

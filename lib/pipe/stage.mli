@@ -9,24 +9,24 @@
     extra per-record rewrites, and metering taps.
 
     Stages are compiled once per run ({!compile}) into the engine's
-    shard-side batch transform; every stage must therefore be pure and
-    deterministic — it runs on any worker shard, and supervision may
-    re-run a batch after a worker exception. *)
+    per-record {!Iocov_par.Replay.stage}; every stage must therefore be
+    pure and deterministic — it runs on any worker shard, and
+    supervision may re-run it after a worker exception. *)
 
 type t =
   | Keep of Iocov_trace.Filter.t
       (** The mount-point / regex filter.  As the head of the chain it
-          compiles to the engine's metered
-          {!Iocov_trace.Filter.keep_all} fast path — bit-for-bit the
-          pre-pipe behavior. *)
+          becomes the engine's filter — a session-local verdict memo at
+          one job, {!Iocov_trace.Filter.keep_all} on the shards —
+          bit-for-bit the pre-pipe behavior. *)
   | Map of { name : string; f : Iocov_trace.Event.t -> Iocov_trace.Event.t option }
       (** A named per-record rewrite; [None] drops the record. *)
   | Meter of { name : string }
-      (** A counting tap: adds the batch size to
-          [iocov_pipe_stage_events_total{stage=name}] and passes the
-          batch through unchanged.  Like all engine metrics, totals are
-          observability, not part of the determinism contract (a
-          retried batch meters twice). *)
+      (** A counting tap: counts the records entering it into
+          [iocov_pipe_stage_events_total{stage=name}], credited once
+          per batch, and passes them through unchanged.  Like all
+          engine metrics, totals are observability, not part of the
+          determinism contract (a retried record meters twice). *)
 
 val filter : Iocov_trace.Filter.t -> t
 val mount : string -> t
@@ -37,11 +37,8 @@ val meter : string -> t
 
 val name : t -> string
 
-val compile :
-  t list ->
-  Iocov_trace.Filter.t option
-  * (Iocov_trace.Event.t list -> Iocov_trace.Event.t list) option
+val compile : t list -> Iocov_trace.Filter.t option * Iocov_par.Replay.stage option
 (** Split a chain into the engine's two slots: a leading {!Keep}
     becomes the engine filter (its metered fast path), and the rest
-    fold left-to-right into one batch transform.  [(None, None)] for
+    fold left-to-right into one per-record stage.  [(None, None)] for
     the empty chain — keep everything. *)

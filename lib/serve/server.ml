@@ -32,11 +32,13 @@ let send oc frame =
   output_string oc frame;
   flush oc
 
-(* Both channels wrap one fd; [close_out] closes it, the second close
-   is a quiet no-op. *)
-let close_both ic oc =
-  close_out_noerr oc;
-  close_in_noerr ic
+(* Both channels of a connection wrap one descriptor, which must be
+   closed exactly once: closing it through the second channel as well
+   could close a descriptor the kernel has meanwhile handed to another
+   connection (threads accept and connect concurrently).  Closing [oc]
+   flushes and closes it; the input channel is left to the collector,
+   whose finalizer never closes descriptors. *)
+let close_conn oc = close_out_noerr oc
 
 (* --- ingest connections --- *)
 
@@ -170,7 +172,7 @@ let handle_connection hub ~shutdown ~batch ~handshake_timeout fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   Fun.protect
-    ~finally:(fun () -> close_both ic oc)
+    ~finally:(fun () -> close_conn oc)
     (fun () ->
       (* a client that connects and never speaks must not pin this
          thread forever: the handshake read is deadline-bounded (the
@@ -392,7 +394,7 @@ let with_conn ~socket f =
   | () ->
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
-    Fun.protect ~finally:(fun () -> close_both ic oc) (fun () -> f fd ic oc)
+    Fun.protect ~finally:(fun () -> close_conn oc) (fun () -> f fd ic oc)
 
 let client_ingest ~socket ~tenant ?mount ?config path =
   match open_in_bin path with

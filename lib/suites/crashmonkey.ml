@@ -343,7 +343,7 @@ let crash_scenarios =
        [ Setxattr (p "foo", "user.cm", 64); Fdatasync (p "foo") ]) ]
 
 let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?(seq2 = 0)
-    ~coverage () =
+    ?coverage () =
   let config =
     Config.with_faults faults (Option.value config ~default:Config.default)
   in
@@ -354,12 +354,13 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?(seq
    | None -> ());
   let filter = Filter.mount_point mount in
   let kept = ref 0 in
-  (match dispatch with
-   | Some d ->
+  (match (dispatch, coverage) with
+   | Some d, _ ->
      (* the pipeline owns filtering and accumulation; [kept] stays 0
         here and the caller takes it from the merge *)
      Tracer.on_event ctx.Workload.tracer d
-   | None ->
+   | None, None -> () (* nobody reads coverage: skip the filter *)
+   | None, Some coverage ->
      Tracer.on_event ctx.Workload.tracer
        (Filter.sink filter (fun e ->
             incr kept;

@@ -39,11 +39,12 @@ val run :
   ?config:Iocov_vfs.Config.t ->
   ?sink:(Iocov_trace.Event.t -> unit) ->
   ?dispatch:(Iocov_trace.Event.t -> unit) -> ?seq2:int ->
-  coverage:Iocov_core.Coverage.t -> unit -> string list * stats
+  ?coverage:Iocov_core.Coverage.t -> unit -> string list * stats
 (** Run the suite; coverage accumulates through the mount-point filter
-    into [coverage].  Returns the oracle failures (crash-consistency
-    violations and unexpected outcomes — empty on a correct file system)
-    and run statistics.  [scale] multiplies per-workload iteration
+    into [coverage] — when one is given: without it (and without
+    [dispatch]) no filter runs and [events_kept] stays 0.  Returns the
+    oracle failures (crash-consistency violations and unexpected
+    outcomes — empty on a correct file system) and run statistics.  [scale] multiplies per-workload iteration
     counts; [faults] are planted in the file system under test; [seq2]
     adds that many sampled length-2 operation sequences (the seq-2
     workloads of CrashMonkey's bounded search; the paper's evaluation

@@ -446,7 +446,7 @@ let all_cases ~iters =
   open_cases @ read_write_cases @ lseek_cases @ truncate_cases @ metadata_cases
   @ xattr_cases @ functional_cases ~iters
 
-let run ?(seed = 99) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ~coverage () =
+let run ?(seed = 99) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?coverage () =
   let master = Prng.create ~seed in
   let failures = ref [] in
   let events_total = ref 0 in
@@ -470,12 +470,13 @@ let run ?(seed = 99) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ~cove
       (match sink with
        | Some sink -> Tracer.on_event ctx.Workload.tracer sink
        | None -> ());
-      (match dispatch with
-       | Some d ->
+      (match (dispatch, coverage) with
+       | Some d, _ ->
          (* the pipeline owns filtering and accumulation; [events_kept]
             stays 0 here and the caller takes it from the merge *)
          Tracer.on_event ctx.Workload.tracer d
-       | None ->
+       | None, None -> () (* nobody reads coverage: skip the filter *)
+       | None, Some coverage ->
          Tracer.on_event ctx.Workload.tracer
            (Filter.sink filter (fun e ->
                 incr events_kept;

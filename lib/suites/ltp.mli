@@ -31,9 +31,12 @@ val run :
   ?config:Iocov_vfs.Config.t ->
   ?sink:(Iocov_trace.Event.t -> unit) ->
   ?dispatch:(Iocov_trace.Event.t -> unit) ->
-  coverage:Iocov_core.Coverage.t -> unit -> string list * stats
+  ?coverage:Iocov_core.Coverage.t -> unit -> string list * stats
 (** Run the suite; returns oracle failures (each testcase asserts its
-    expected errno) and statistics.
+    expected errno) and statistics.  Coverage accumulates through the
+    mount-point filter into [coverage] when one is given; without it
+    (and without [dispatch]) no filter runs and [events_kept] stays
+    0.
 
     [dispatch] hands every raw event to an external analysis pipeline
     (e.g. [Iocov_par.Replay.sink]) {e instead of} the inline

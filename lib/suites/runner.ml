@@ -38,11 +38,11 @@ let mount_of = function
   | Xfstests -> Xfstests.mount
   | Ltp -> Ltp.mount
 
-let exec ?dispatch ?config ~seed ~scale ~faults ~coverage suite =
+let exec ?dispatch ?config ~seed ~scale ~faults suite =
   match suite with
   | Crashmonkey ->
     let failures, stats =
-      Crashmonkey.run ~seed ~scale ~faults ?config ?dispatch ~coverage ()
+      Crashmonkey.run ~seed ~scale ~faults ?config ?dispatch ()
     in
     ( failures,
       stats.Crashmonkey.events_total,
@@ -50,7 +50,7 @@ let exec ?dispatch ?config ~seed ~scale ~faults ~coverage suite =
       stats.Crashmonkey.workloads_run )
   | Xfstests ->
     let failures, stats =
-      Xfstests.run ~seed ~scale ~faults ?config ?dispatch ~coverage ()
+      Xfstests.run ~seed ~scale ~faults ?config ?dispatch ()
     in
     ( failures,
       stats.Xfstests.events_total,
@@ -58,7 +58,7 @@ let exec ?dispatch ?config ~seed ~scale ~faults ~coverage suite =
       stats.Xfstests.tests_run )
   | Ltp ->
     let failures, stats =
-      Ltp.run ~seed ~scale ~faults ?config ?dispatch ~coverage ()
+      Ltp.run ~seed ~scale ~faults ?config ?dispatch ()
     in
     ( failures,
       stats.Ltp.events_total,
@@ -86,18 +86,16 @@ let run ?(seed = 42) ?(scale = 1.0) ?(faults = []) ?jobs
         (* One pipeline for every run: the suite is a live source, the
            mount filter is a stage, and the sharded replay engine
            (inline at one job — no domain, no channel) accumulates.
-           The suite's own observe path is bypassed, so hand it a
-           throwaway accumulator; the coverage is byte-identical to a
-           direct observe by the determinism contract (DESIGN.md §13),
-           differential-tested in test/test_pipe.ml. *)
+           The suite's own observe path is bypassed; the coverage is
+           byte-identical to a direct observe by the determinism
+           contract (DESIGN.md §13), differential-tested in
+           test/test_pipe.ml. *)
         let failures = ref [] in
         let events_total = ref 0 in
         let workloads = ref 0 in
         let feed emit =
           let f, et, _, w =
-            exec ~dispatch:emit ?config ~seed ~scale ~faults
-              ~coverage:(Coverage.create ~metered:false ())
-              suite
+            exec ~dispatch:emit ?config ~seed ~scale ~faults suite
           in
           failures := f;
           events_total := et;

@@ -806,8 +806,7 @@ let dir_listing_pass ctx =
   | None -> ()
 
 let run ?(seed = 7) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?per_test
-    ~coverage
-    () =
+    ?coverage () =
   (match (dispatch, per_test) with
    | Some _, Some _ ->
      invalid_arg "Xfstests.run: dispatch and per_test are mutually exclusive"
@@ -844,21 +843,23 @@ let run ?(seed = 7) ?(scale = 1.0) ?(faults = []) ?config ?sink ?dispatch ?per_t
     let test_cov =
       match per_test with Some _ -> Some (Coverage.create ()) | None -> None
     in
-    (match dispatch with
-     | Some d ->
+    (match (dispatch, coverage, test_cov) with
+     | Some d, _, _ ->
        (* the pipeline owns filtering and accumulation; [events_kept]
           stays 0 here and the caller takes it from the merge *)
        Tracer.on_event ctx.Workload.tracer d
-     | None ->
+     | None, None, None -> () (* nobody reads coverage: skip the filter *)
+     | None, _, _ ->
+       let observe cov call outcome =
+         match cov with Some c -> Coverage.observe c call outcome | None -> ()
+       in
        Tracer.on_event ctx.Workload.tracer
          (Filter.sink filter (fun e ->
               incr events_kept;
               match e.Event.payload with
               | Event.Tracked call ->
-                Coverage.observe coverage call e.Event.outcome;
-                (match test_cov with
-                 | Some cov -> Coverage.observe cov call e.Event.outcome
-                 | None -> ())
+                observe coverage call e.Event.outcome;
+                observe test_cov call e.Event.outcome
               | Event.Aux _ -> ())));
     Workload.begin_test ctx name;
     if index mod 7 = 0 then Workload.noise ctx;

@@ -40,9 +40,11 @@ val run :
   ?sink:(Iocov_trace.Event.t -> unit) ->
   ?dispatch:(Iocov_trace.Event.t -> unit) ->
   ?per_test:(string -> Iocov_core.Coverage.t -> unit) ->
-  coverage:Iocov_core.Coverage.t -> unit -> string list * stats
+  ?coverage:Iocov_core.Coverage.t -> unit -> string list * stats
 (** Run the whole suite into [coverage] (through the [/mnt/test]
-    mount-point filter).  [scale] multiplies inner-loop iteration counts;
+    mount-point filter).  The filter runs only for a reader: with
+    neither [coverage] nor [per_test] (nor [dispatch]) it is skipped
+    and [events_kept] stays 0.  [scale] multiplies inner-loop iteration counts;
     at 1.0 a run produces a few million traced syscalls.  Returns oracle
     failures (empty on a correct file system) and statistics.
 

@@ -80,6 +80,14 @@ let keeps t (e : Event.t) =
   | None -> false
   | Some hint -> matches_hint t hint
 
+(* The fused decoder classifies hints itself (it never builds events),
+   so it borrows the classification and reports the batched counts
+   here — same counters, same totals as [keep_all]. *)
+let meter ~kept ~no_hint ~no_match =
+  if kept > 0 then Metrics.Counter.add m_kept kept;
+  if no_hint > 0 then Metrics.Counter.add m_dropped_no_hint no_hint;
+  if no_match > 0 then Metrics.Counter.add m_dropped_no_match no_match
+
 type stats = { kept : int; dropped : int }
 
 let fold t ~init ~f events =
@@ -91,39 +99,76 @@ let fold t ~init ~f events =
   in
   (acc, { kept; dropped })
 
-(* The chunk pipeline's batched decision: same classification and the
-   same counters as [decide], but metered with three adds per batch
-   instead of one atomic increment per record — worker domains stay off
-   each other's cache lines. *)
-let keep_all t events =
-  let kept = ref 0 and no_hint = ref 0 and no_match = ref 0 in
-  let keep_one (e : Event.t) =
+(* --- the shard-local verdict memo ---
+
+   A live workload names a few hundred distinct paths across hundreds of
+   thousands of records, and every regex run allocates, so one owner (a
+   session, a shard, a batch) remembers each hint's verdict.  The memo
+   is mutable and therefore never shared: [t] stays immutable and
+   domain-safe, and each owner makes its own.  It also tallies the
+   decisions it makes and credits them to the filter counters in one
+   batch, so worker domains stay off each other's cache lines. *)
+module Memo = struct
+  module Hints = Hashtbl.Make (String)
+
+  type filter = t
+
+  type t = {
+    filter : filter;
+    verdicts : bool Hints.t;
+    mutable kept : int;
+    mutable no_hint : int;
+    mutable no_match : int;
+  }
+
+  let bound = 4096
+
+  let create filter =
+    { filter; verdicts = Hints.create 64; kept = 0; no_hint = 0; no_match = 0 }
+
+  (* Bounded by starting over: a memo that fills up is a workload with
+     more distinct paths than the bound, and forgetting everything costs
+     one regex run per hint on the way back. *)
+  let matches m hint =
+    match Hints.find m.verdicts hint with
+    | verdict -> verdict
+    | exception Not_found ->
+      let verdict = matches_hint m.filter hint in
+      if Hints.length m.verdicts >= bound then Hints.reset m.verdicts;
+      Hints.add m.verdicts hint verdict;
+      verdict
+
+  let size m = Hints.length m.verdicts
+
+  let decide m (e : Event.t) =
     match e.path_hint with
     | None ->
-      incr no_hint;
+      m.no_hint <- m.no_hint + 1;
       false
     | Some hint ->
-      if matches_hint t hint then begin
-        incr kept;
+      if matches m hint then begin
+        m.kept <- m.kept + 1;
         true
       end
       else begin
-        incr no_match;
+        m.no_match <- m.no_match + 1;
         false
       end
-  in
-  let out = List.filter keep_one events in
-  if !kept > 0 then Metrics.Counter.add m_kept !kept;
-  if !no_hint > 0 then Metrics.Counter.add m_dropped_no_hint !no_hint;
-  if !no_match > 0 then Metrics.Counter.add m_dropped_no_match !no_match;
+
+  let credit m =
+    meter ~kept:m.kept ~no_hint:m.no_hint ~no_match:m.no_match;
+    m.kept <- 0;
+    m.no_hint <- 0;
+    m.no_match <- 0
+end
+
+(* The chunk pipeline's batched decision: same classification and the
+   same counters as [decide], metered with three adds per batch. *)
+let keep_all t events =
+  let m = Memo.create t in
+  let out = List.filter (Memo.decide m) events in
+  Memo.credit m;
   out
 
 let sink t k e = if decide t e then k e
 
-(* The fused decoder classifies hints itself (it never builds events),
-   so it borrows the classification and reports the batched counts
-   here — same counters, same totals as [keep_all]. *)
-let meter ~kept ~no_hint ~no_match =
-  if kept > 0 then Metrics.Counter.add m_kept kept;
-  if no_hint > 0 then Metrics.Counter.add m_dropped_no_hint no_hint;
-  if no_match > 0 then Metrics.Counter.add m_dropped_no_match no_match

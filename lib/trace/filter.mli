@@ -36,11 +36,11 @@ val fold :
 
 val keep_all : t -> Event.t list -> Event.t list
 (** [keep_all t events] is the kept records in order — the chunk
-    pipeline's batched decision.  Counts exactly like per-record
-    {!fold}/{!sink} metering (same counters, same totals), but applied
-    as one add per batch, so parallel worker shards do not contend on
-    the counters per record.  A compiled filter is immutable and may be
-    shared across domains. *)
+    pipeline's batched decision, through a fresh {!Memo}.  Counts
+    exactly like per-record {!fold}/{!sink} metering (same counters,
+    same totals), but applied as one add per batch, so parallel worker
+    shards do not contend on the counters per record.  A compiled
+    filter is immutable and may be shared across domains. *)
 
 val sink : t -> (Event.t -> unit) -> Event.t -> unit
 (** [sink t k] is a tracer sink that forwards kept records to [k],
@@ -56,3 +56,32 @@ val meter : kept:int -> no_hint:int -> no_match:int -> unit
     counters, exactly as {!keep_all} would have.  For the fused binary
     decode path, which classifies hints via {!matches_hint} without
     building events. *)
+
+(** A bounded, owner-local memo of {!matches_hint} verdicts keyed by
+    hint string, with batched metering of the decisions it makes.  A
+    memo is mutable: make one per session, shard or batch, never share
+    one across domains (the filter it wraps stays shareable). *)
+module Memo : sig
+  type filter := t
+  type t
+
+  val bound : int
+  (** The most distinct hints a memo holds (4096); a full memo starts
+      over. *)
+
+  val create : filter -> t
+
+  val matches : t -> string -> bool
+  (** [matches m hint] equals [matches_hint filter hint]; the regex
+      runs once per hint until the memo fills. *)
+
+  val size : t -> int
+  (** Hints currently remembered; never above the bound. *)
+
+  val decide : t -> Event.t -> bool
+  (** {!keeps}, tallied by result for {!credit}. *)
+
+  val credit : t -> unit
+  (** Credit the tallied decisions to
+      [iocov_filter_events_total{result}] (as {!meter}) and zero them. *)
+end

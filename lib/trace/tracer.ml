@@ -1,12 +1,11 @@
 open Iocov_syscall
 module Fs = Iocov_vfs.Fs
-module Path = Iocov_vfs.Path
 module Metrics = Iocov_obs.Metrics
 module Clock = Iocov_obs.Clock
 
 (* Self-observability: every tracer in the process reports into the
    default registry.  Handles are resolved once; the per-event cost is
-   one field increment plus one table lookup for the per-kind counter. *)
+   one field increment plus one array read for the per-kind counter. *)
 let m_events =
   Metrics.counter Metrics.default "iocov_tracer_events_total"
     ~help:"Trace records emitted, before any filtering."
@@ -15,10 +14,25 @@ let m_emit_latency =
   Metrics.histogram Metrics.default "iocov_tracer_emit_latency_ns"
     ~help:"Sink dispatch latency per record, sampled every 64th event."
 
-let kind_counters : (string, Metrics.Counter.t) Hashtbl.t = Hashtbl.create 64
+(* Per-kind counters: the 27 modeled variants by [Model.variant_index],
+   then the auxiliary operations by [aux_index].  A slot is registered
+   on its first call, so kinds a run never makes stay out of the
+   registry. *)
+let aux_index = function
+  | Fs.Unlink _ -> 0
+  | Fs.Rmdir _ -> 1
+  | Fs.Rename _ -> 2
+  | Fs.Symlink _ -> 3
+  | Fs.Link _ -> 4
+  | Fs.Fsync _ -> 5
+  | Fs.Fdatasync _ -> 6
+  | Fs.Sync -> 7
+  | Fs.Crash -> 8
 
-let kind_counter name =
-  match Hashtbl.find_opt kind_counters name with
+let kind_counters : Metrics.Counter.t option array = Array.make (Model.variant_count + 9) None
+
+let kind_counter slot name =
+  match kind_counters.(slot) with
   | Some c -> c
   | None ->
     let c =
@@ -26,7 +40,7 @@ let kind_counter name =
         ~labels:[ ("syscall", name) ]
         ~help:"Calls executed through the tracer by syscall kind."
     in
-    Hashtbl.add kind_counters name c;
+    kind_counters.(slot) <- Some c;
     c
 
 type t = {
@@ -34,8 +48,8 @@ type t = {
   pid : int;
   comm : string;
   mutable seq : int;
-  mutable sinks : (Event.t -> unit) list;  (* reverse registration order *)
-  fd_paths : (int, string) Hashtbl.t;
+  mutable sinks : (Event.t -> unit) list;  (* registration order *)
+  fd_paths : (int, string option) Hashtbl.t;  (* always [Some]: hints as stored *)
   mutable cwd : string;
 }
 
@@ -43,58 +57,112 @@ let create ?(pid = 1000) ?(comm = "tester") fs =
   { fs; pid; comm; seq = 0; sinks = []; fd_paths = Hashtbl.create 32; cwd = "/" }
 
 let fs t = t.fs
-let on_event t sink = t.sinks <- sink :: t.sinks
+let on_event t sink = t.sinks <- t.sinks @ [ sink ]
 let events_emitted t = t.seq
 let cwd t = t.cwd
 
-(* Normalize a possibly-relative pathname against the tracked cwd;
-   "." / ".." components are folded so hints are canonical. *)
-let absolutize t path =
-  let raw = if String.length path > 0 && path.[0] = '/' then path else Path.join t.cwd path in
-  let parts = List.filter (fun c -> c <> "") (String.split_on_char '/' raw) in
-  let folded =
-    List.fold_left
-      (fun acc c ->
-        match c with
-        | "." -> acc
-        | ".." -> (match acc with [] -> [] | _ :: rest -> rest)
-        | c -> c :: acc)
-      [] parts
+(* The index of the first '/' at or after [i], or the length. *)
+let next_slash s i =
+  let n = String.length s in
+  let rec go i = if i >= n || String.unsafe_get s i = '/' then i else go (i + 1) in
+  go i
+
+(* An absolute path with no empty, "." or ".." component and no
+   trailing slash (other than the root itself): what [absolutize]
+   would rebuild, so it can be returned as is. *)
+let canonical p =
+  let n = String.length p in
+  let rec from i =
+    (* [p.[i]] is a '/' that starts a component *)
+    let j = next_slash p (i + 1) in
+    let len = j - i - 1 in
+    len > 0
+    && (not (len = 1 && p.[i + 1] = '.'))
+    && (not (len = 2 && p.[i + 1] = '.' && p.[i + 2] = '.'))
+    && (j = n || from j)
   in
-  "/" ^ String.concat "/" (List.rev folded)
+  n > 0 && p.[0] = '/' && (n = 1 || from 0)
+
+(* Fold [path]'s components onto [buf.[0..len)], a canonical prefix
+   without its trailing slash ("" for the root); returns the new
+   length.  "." is dropped, ".." removes the last component (the root
+   is its own parent). *)
+let fold_into buf len path =
+  let n = String.length path in
+  let rec go len i =
+    if i >= n then len
+    else if path.[i] = '/' then go len (i + 1)
+    else begin
+      let j = next_slash path i in
+      let c = j - i in
+      if c = 1 && path.[i] = '.' then go len j
+      else if c = 2 && path.[i] = '.' && path.[i + 1] = '.' then
+        match Bytes.rindex_from_opt buf (len - 1) '/' with
+        | Some k when len > 0 -> go k j
+        | _ -> go 0 j
+      else begin
+        Bytes.set buf len '/';
+        Bytes.blit_string path i buf (len + 1) c;
+        go (len + 1 + c) j
+      end
+    end
+  in
+  go len 0
+
+(* Normalize a possibly-relative pathname against a canonical cwd;
+   "." / ".." components are folded so hints are canonical.  Workloads
+   mostly pass canonical absolute paths, which come back unchanged. *)
+let absolutize ~cwd path =
+  let absolute = String.length path > 0 && path.[0] = '/' in
+  if absolute && canonical path then path
+  else begin
+    let buf = Bytes.create (String.length cwd + String.length path + 1) in
+    let base = if absolute || cwd = "/" then 0 else String.length cwd in
+    Bytes.blit_string cwd 0 buf 0 base;
+    let len = fold_into buf base path in
+    if len = 0 then "/" else Bytes.sub_string buf 0 len
+  end
+
+(* A descriptor's hint: the stored option itself, so a lookup allocates
+   nothing. *)
+let fd_hint t fd = match Hashtbl.find t.fd_paths fd with h -> h | exception Not_found -> None
 
 let hint_of_target t = function
-  | Model.Path p -> Some (absolutize t p)
-  | Model.Fd fd -> Hashtbl.find_opt t.fd_paths fd
+  | Model.Path p -> Some (absolutize ~cwd:t.cwd p)
+  | Model.Fd fd -> fd_hint t fd
 
 let hint_of_call t call =
   match call with
-  | Model.Open_call { path; _ } -> Some (absolutize t path)
-  | Model.Mkdir_call { path; _ } -> Some (absolutize t path)
+  | Model.Open_call { path; _ } -> Some (absolutize ~cwd:t.cwd path)
+  | Model.Mkdir_call { path; _ } -> Some (absolutize ~cwd:t.cwd path)
   | Model.Read_call { fd; _ }
   | Model.Write_call { fd; _ }
   | Model.Lseek_call { fd; _ }
-  | Model.Close_call { fd } -> Hashtbl.find_opt t.fd_paths fd
+  | Model.Close_call { fd } -> fd_hint t fd
   | Model.Truncate_call { target; _ }
   | Model.Chmod_call { target; _ }
   | Model.Chdir_call { target }
   | Model.Setxattr_call { target; _ }
   | Model.Getxattr_call { target; _ } -> hint_of_target t target
 
-(* Keep the fd table and cwd in sync with successful calls. *)
-let post_process t call outcome =
-  match (call, outcome) with
-  | Model.Open_call { path; _ }, Model.Ret fd ->
+(* Keep the fd table and cwd in sync with successful calls.  [hint] is
+   the call's own, computed before it ran: for an open or a chdir it is
+   exactly the path to remember. *)
+let post_process t call outcome hint =
+  match (call, outcome, hint) with
+  | Model.Open_call _, Model.Ret fd, Some _ ->
     (match Fs.fd_path t.fs fd with
-     | Some _ -> Hashtbl.replace t.fd_paths fd (absolutize t path)
+     | Some _ -> Hashtbl.replace t.fd_paths fd hint
      | None -> () (* O_TMPFILE: anonymous *))
-  | Model.Close_call { fd }, Model.Ret _ -> Hashtbl.remove t.fd_paths fd
-  | Model.Chdir_call { target = Model.Path p }, Model.Ret _ -> t.cwd <- absolutize t p
-  | Model.Chdir_call { target = Model.Fd fd }, Model.Ret _ ->
-    (match Hashtbl.find_opt t.fd_paths fd with
-     | Some p -> t.cwd <- p
-     | None -> ())
+  | Model.Close_call { fd }, Model.Ret _, _ -> Hashtbl.remove t.fd_paths fd
+  | Model.Chdir_call _, Model.Ret _, Some path -> t.cwd <- path
   | _ -> ()
+
+let rec dispatch event = function
+  | [] -> ()
+  | sink :: rest ->
+    sink event;
+    dispatch event rest
 
 let emit t payload outcome path_hint =
   t.seq <- t.seq + 1;
@@ -112,33 +180,35 @@ let emit t payload outcome path_hint =
   in
   if t.seq land 63 = 0 then begin
     let t0 = Clock.now () in
-    List.iter (fun sink -> sink event) (List.rev t.sinks);
+    dispatch event t.sinks;
     Metrics.Histogram.observe m_emit_latency
       (int_of_float ((Clock.now () -. t0) *. 1e9))
   end
-  else List.iter (fun sink -> sink event) (List.rev t.sinks)
+  else dispatch event t.sinks
 
 let exec t call =
-  Metrics.Counter.incr (kind_counter (Model.variant_name (Model.variant_of_call call)));
+  let v = Model.variant_of_call call in
+  Metrics.Counter.incr (kind_counter (Model.variant_index v) (Model.variant_name v));
   let hint = hint_of_call t call in
   let outcome = Fs.exec t.fs call in
-  post_process t call outcome;
+  post_process t call outcome hint;
   emit t (Event.Tracked call) outcome hint;
   outcome
 
 let aux_detail t aux =
+  let hint p = Some (absolutize ~cwd:t.cwd p) in
   match (aux : Fs.aux) with
-  | Fs.Unlink p | Fs.Rmdir p -> (Printf.sprintf "path=%S" p, Some (absolutize t p))
-  | Fs.Rename (o, n) -> (Printf.sprintf "old=%S, new=%S" o n, Some (absolutize t o))
-  | Fs.Symlink (target, link) ->
-    (Printf.sprintf "target=%S, link=%S" target link, Some (absolutize t link))
-  | Fs.Link (e, n) -> (Printf.sprintf "old=%S, new=%S" e n, Some (absolutize t e))
+  | Fs.Unlink p | Fs.Rmdir p -> (Printf.sprintf "path=%S" p, hint p)
+  | Fs.Rename (o, n) -> (Printf.sprintf "old=%S, new=%S" o n, hint o)
+  | Fs.Symlink (target, link) -> (Printf.sprintf "target=%S, link=%S" target link, hint link)
+  | Fs.Link (e, n) -> (Printf.sprintf "old=%S, new=%S" e n, hint e)
   | Fs.Fsync fd | Fs.Fdatasync fd ->
-    (Printf.sprintf "fd=%d" fd, Hashtbl.find_opt t.fd_paths fd)
+    (Printf.sprintf "fd=%d" fd, fd_hint t fd)
   | Fs.Sync | Fs.Crash -> ("", None)
 
 let exec_aux t aux =
-  Metrics.Counter.incr (kind_counter (Fs.aux_name aux));
+  Metrics.Counter.incr
+    (kind_counter (Model.variant_count + aux_index aux) (Fs.aux_name aux));
   let detail, hint = aux_detail t aux in
   let result = Fs.exec_aux t.fs aux in
   (match aux with

@@ -28,3 +28,10 @@ val events_emitted : t -> int
 val cwd : t -> string
 (** The traced process's current directory as the tracer reconstructs
     it. *)
+
+val absolutize : cwd:string -> string -> string
+(** The canonical absolute form of [path] taken relative to [cwd]
+    (itself canonical): empty and ["."] components dropped, [".."]
+    folded (the root is its own parent), no trailing slash.  A path
+    that is already canonical and absolute is returned as is.  This is
+    how every record's [path_hint] is built. *)

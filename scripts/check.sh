@@ -31,6 +31,19 @@ dune exec bin/iocov.exe -- runs list --ledger "$tmp/ledger" > /dev/null
 dune exec bin/iocov.exe -- runs diff 1 2 --ledger "$tmp/ledger" \
   | grep -q "identical"
 
+echo "== live = replay gate =="
+# the live suite at --jobs 1 (records consumed one at a time) and at
+# --jobs 2 (batched shards) must cover exactly the cells an offline
+# analyze of the same run's stored trace ($tmp/t.bin, above) covers
+live="$tmp/live-ledger"
+dune exec bin/iocov.exe -- analyze "$tmp/t.bin" --ledger "$live" > /dev/null
+for jobs in 1 2; do
+  dune exec bin/iocov.exe -- suite xfstests --seed 7 --scale 0.05 --jobs "$jobs" \
+    --ledger "$live" > /dev/null
+done
+dune exec bin/iocov.exe -- runs diff 1 2 --ledger "$live" | grep -q "identical"
+dune exec bin/iocov.exe -- runs diff 1 3 --ledger "$live" | grep -q "identical"
+
 echo "== serve smoke =="
 # daemon up, two tenants stream the same trace, queries answer from
 # epoch snapshots, and the per-tenant ledger records are byte-identical

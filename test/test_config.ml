@@ -315,8 +315,7 @@ let trace_of_point (p : Config.point) path =
   ignore
     (Iocov_suites.Ltp.run ~seed:11 ~scale:0.2
        ?config:(Runner.config_of_point p)
-       ~sink:(Iocov_trace.Binary_io.sink writer)
-       ~coverage:(Coverage.create ~metered:false ()) ());
+       ~sink:(Iocov_trace.Binary_io.sink writer) ());
   Iocov_trace.Binary_io.flush writer;
   close_out oc
 

@@ -514,6 +514,97 @@ let test_handshake_timeout_frees_slot () =
   | Error msg -> Alcotest.failf "query after timeout: %s" msg);
   ignore (shutdown_and_join ~socket:sock server)
 
+(* Ingest connections and queries at once, from several client threads
+   of this process: every connection must finish with its reply.  A
+   descriptor closed twice (once per channel) by one side can shut — or
+   cross-wire — a connection that was accepted or opened on the same
+   number in between, surfacing as a reset, a missing reply, or a
+   stuck client; the deadline turns the last into a failure too. *)
+let test_concurrent_connections_not_reset () =
+  (* a write to a connection cut short must fail this test, not kill
+     the test process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_temp_dir @@ fun dir ->
+  let sock = Filename.concat dir "c.sock" in
+  let events = synth_events ~seed:54 200 in
+  let trace = Filename.concat dir "c.trace" in
+  write_binary trace events;
+  let result = ref (Error "server never ran") in
+  let ready = Atomic.make false and stopped = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        result :=
+          Server.run
+            ~on_ready:(fun () -> Atomic.set ready true)
+            { Server.default_config with socket = Some sock; mount = Some "/mnt/test" };
+        Atomic.set stopped true)
+      ()
+  in
+  while not (Atomic.get ready) do
+    Thread.yield ()
+  done;
+  let rounds = 200 in
+  let failures = Atomic.make [] and finished = Atomic.make 0 in
+  let rec note what =
+    let old = Atomic.get failures in
+    if not (Atomic.compare_and_set failures old (what :: old)) then note what
+  in
+  let client name f =
+    ignore
+      (Thread.create
+         (fun () ->
+           for i = 1 to rounds do
+             match f () with
+             | Ok () -> ()
+             | Error msg -> note (Printf.sprintf "%s #%d: %s" name i msg)
+             | exception e -> note (Printf.sprintf "%s #%d: %s" name i (Printexc.to_string e))
+           done;
+           Atomic.incr finished)
+         ())
+  in
+  let tenants = [ "alice"; "bob"; "carol" ] in
+  List.iter
+    (fun tenant ->
+      client tenant (fun () ->
+          Result.map ignore (Server.client_ingest ~socket:sock ~tenant trace)))
+    tenants;
+  for q = 1 to 3 do
+    client (Printf.sprintf "query-%d" q) (fun () ->
+        match Server.client_query ~socket:sock [ "ping"; "tenants" ] with
+        | Ok [ ping; _ ] when String.trim ping = "pong" -> Ok ()
+        | Ok _ -> Error "wrong replies"
+        | Error _ as e -> Result.map ignore e)
+  done;
+  (* a cross-wired connection can leave a client or a server thread
+     waiting forever: bound both waits *)
+  let wait_until what ready =
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while (not (ready ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    if not (ready ()) then
+      Alcotest.failf "%s stuck after 30s; failures so far: %s" what
+        (String.concat "; " (Atomic.get failures))
+  in
+  let clients = List.length tenants + 3 in
+  wait_until "clients" (fun () -> Atomic.get finished = clients);
+  ignore (Server.client_query ~socket:sock [ "shutdown" ]);
+  wait_until "server" (fun () -> Atomic.get stopped);
+  Thread.join server;
+  let outcome =
+    match !result with Ok o -> o | Error msg -> Alcotest.failf "server: %s" msg
+  in
+  check_string "no connection reset or cut short" ""
+    (String.concat "; " (Atomic.get failures));
+  check_int "every tenant present" (List.length tenants)
+    (List.length outcome.Server.o_tenants);
+  List.iter
+    (fun o ->
+      check_int (o.Server.o_tenant ^ " saw every ingest") (rounds * List.length events)
+        o.Server.o_stats.Hub.st_events)
+    outcome.Server.o_tenants
+
 let test_partial_frame_on_ledger () =
   with_temp_dir @@ fun dir ->
   let sock = Filename.concat dir "s.sock" in
@@ -757,6 +848,8 @@ let suites =
           test_handshake_timeout_frees_slot;
         Alcotest.test_case "partial frame lands on the ledger" `Quick
           test_partial_frame_on_ledger;
+        Alcotest.test_case "concurrent connections are never reset" `Quick
+          test_concurrent_connections_not_reset;
         Alcotest.test_case "tail rotation resets the cursor" `Quick
           test_tail_rotation_resets;
       ] );
