@@ -145,7 +145,25 @@ let decompose t =
   in
   mode :: others
 
-let has t f = List.mem f (decompose t)
+(* [has] answers [List.mem f (decompose t)] with one or two bit tests,
+   keeping decompose's special cases: access modes compare as a whole,
+   O_RSYNC never shows, the full O_SYNC pattern hides O_DSYNC and the
+   full O_TMPFILE pattern hides O_DIRECTORY. *)
+let sync_bits = bit O_SYNC
+let dsync_bit = bit O_DSYNC
+let tmpfile_bits = bit O_TMPFILE
+let directory_bit = bit O_DIRECTORY
+
+let has t f =
+  match f with
+  | O_RDONLY | O_WRONLY | O_RDWR -> access_mode t = f
+  | O_RSYNC -> false
+  | O_DSYNC -> t land sync_bits <> sync_bits && t land dsync_bit <> 0
+  | O_SYNC -> t land sync_bits = sync_bits
+  | O_DIRECTORY -> t land tmpfile_bits <> tmpfile_bits && t land directory_bit <> 0
+  | O_TMPFILE -> t land tmpfile_bits = tmpfile_bits
+  | f -> t land bit f <> 0
+
 let readable t = access_mode t <> O_WRONLY
 let writable t = access_mode t <> O_RDONLY
 

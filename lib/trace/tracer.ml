@@ -127,14 +127,15 @@ let absolutize ~cwd path =
    nothing. *)
 let fd_hint t fd = match Hashtbl.find t.fd_paths fd with h -> h | exception Not_found -> None
 
+let path_hint t p = Some (absolutize ~cwd:t.cwd p)
+
 let hint_of_target t = function
-  | Model.Path p -> Some (absolutize ~cwd:t.cwd p)
+  | Model.Path p -> path_hint t p
   | Model.Fd fd -> fd_hint t fd
 
 let hint_of_call t call =
   match call with
-  | Model.Open_call { path; _ } -> Some (absolutize ~cwd:t.cwd path)
-  | Model.Mkdir_call { path; _ } -> Some (absolutize ~cwd:t.cwd path)
+  | Model.Open_call { path; _ } | Model.Mkdir_call { path; _ } -> path_hint t path
   | Model.Read_call { fd; _ }
   | Model.Write_call { fd; _ }
   | Model.Lseek_call { fd; _ }
@@ -195,15 +196,21 @@ let exec t call =
   emit t (Event.Tracked call) outcome hint;
   outcome
 
+(* The text [Printf.sprintf "k=%S"] and ["k1=%S, k2=%S"] make (%S
+   quotes [String.escaped]), built without the format interpreter. *)
+let quoted k v = String.concat "" [ k; "=\""; String.escaped v; "\"" ]
+
+let quoted2 k1 v1 k2 v2 =
+  String.concat ""
+    [ k1; "=\""; String.escaped v1; "\", "; k2; "=\""; String.escaped v2; "\"" ]
+
 let aux_detail t aux =
-  let hint p = Some (absolutize ~cwd:t.cwd p) in
   match (aux : Fs.aux) with
-  | Fs.Unlink p | Fs.Rmdir p -> (Printf.sprintf "path=%S" p, hint p)
-  | Fs.Rename (o, n) -> (Printf.sprintf "old=%S, new=%S" o n, hint o)
-  | Fs.Symlink (target, link) -> (Printf.sprintf "target=%S, link=%S" target link, hint link)
-  | Fs.Link (e, n) -> (Printf.sprintf "old=%S, new=%S" e n, hint e)
-  | Fs.Fsync fd | Fs.Fdatasync fd ->
-    (Printf.sprintf "fd=%d" fd, fd_hint t fd)
+  | Fs.Unlink p | Fs.Rmdir p -> (quoted "path" p, path_hint t p)
+  | Fs.Rename (o, n) -> (quoted2 "old" o "new" n, path_hint t o)
+  | Fs.Symlink (target, link) -> (quoted2 "target" target "link" link, path_hint t link)
+  | Fs.Link (e, n) -> (quoted2 "old" e "new" n, path_hint t e)
+  | Fs.Fsync fd | Fs.Fdatasync fd -> ("fd=" ^ string_of_int fd, fd_hint t fd)
   | Fs.Sync | Fs.Crash -> ("", None)
 
 let exec_aux t aux =

@@ -7,8 +7,6 @@ type fd_entry = {
   fd_pathname : string option;  (* best-effort, for trace reconstruction *)
 }
 
-type durable = { d_nodes : (int, Node.t) Hashtbl.t }
-
 type t = {
   cfg : Config.t;
   nodes : (int, Node.t) Hashtbl.t;
@@ -24,7 +22,9 @@ type t = {
   mutable gid : int;
   mutable read_only : bool;
   mutable injected : (Errno.t * Model.base option) list;
-  mutable durable : durable;
+  durable : (int, Node.t) Hashtbl.t;       (* ino -> node as of its last durable point *)
+  mutable changed : int list;              (* inodes changed since the last sync *)
+  mutable hops : int;                      (* symlinks followed by the lookup in progress *)
   mutable journal : Journal.t option;
 }
 
@@ -36,6 +36,8 @@ let journal t = t.journal
 (* Journal hook: a no-op unless a log is attached, so the hot path pays
    one option match. *)
 let jot t r = match t.journal with Some j -> Journal.append j r | None -> ()
+
+let ( let* ) = Result.bind
 
 let has_fault t f = List.mem f t.cfg.Config.faults
 
@@ -57,9 +59,22 @@ let fault_fires t f =
   end
 
 let get t ino =
-  match Hashtbl.find_opt t.nodes ino with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Fs.get: dangling inode %d" ino)
+  match Hashtbl.find t.nodes ino with
+  | n -> n
+  | exception Not_found -> invalid_arg (Printf.sprintf "Fs.get: dangling inode %d" ino)
+
+(* Every mutation of a node calls [touch] before it writes.  An
+   unchanged node may be the very object the durable image holds (see
+   the crash model below); its first touch since the last sync gives
+   the image a private copy, so the write cannot reach it. *)
+let touch t (node : Node.t) =
+  if not node.changed then begin
+    (match Hashtbl.find t.durable node.ino with
+     | d when d == node -> Hashtbl.replace t.durable node.ino (Node.copy node)
+     | _ | (exception Not_found) -> ());
+    node.changed <- true;
+    t.changed <- node.ino :: t.changed
+  end
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -73,9 +88,9 @@ let tick t =
 let blocks_of_size t size = (size + t.cfg.Config.block_size - 1) / t.cfg.Config.block_size
 
 let quota_used t uid =
-  match Hashtbl.find_opt t.quota uid with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.quota uid with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add t.quota uid r;
     r
@@ -118,12 +133,12 @@ let alloc_node t ~body ~mode =
   t.next_ino <- ino + 1;
   let node = Node.create ~ino ~body ~mode ~uid:t.uid ~gid:t.gid ~now:(tick t) in
   Hashtbl.add t.nodes ino node;
+  touch t node;
   node
 
-let fd_refs t ino =
-  Hashtbl.fold (fun _ e acc -> if e.fd_ino = ino then acc + 1 else acc) t.fds 0
-
 let release_node t (node : Node.t) =
+  (* its durable version, if any, leaves the image at the next sync *)
+  t.changed <- node.ino :: t.changed;
   Hashtbl.remove t.nodes node.ino;
   let data_blocks = if Node.is_reg node then blocks_of_size t node.size else 0 in
   (* releasing cannot fail *)
@@ -132,64 +147,93 @@ let release_node t (node : Node.t) =
 (* Called when a link went away or an fd closed: frees the inode once it is
    both unreferenced by the namespace and by descriptors. *)
 let maybe_free t (node : Node.t) =
-  if node.nlink <= 0 && fd_refs t node.ino = 0 && node.ino <> t.root then
+  if node.nlink <= 0 && node.open_fds = 0 && node.ino <> t.root then
     release_node t node
 
-(* --- path resolution --- *)
+(* --- path resolution ---
+   The walk scans the pathname in place: one substring per component
+   for the entry lookup and no component list.  A failed lookup (and an
+   unknown descriptor, see [find_fd]) leaves by the [Lookup] exception,
+   which [exec], [exec_aux] and the result-returning entry points turn
+   back into its errno. *)
 
-let ( let* ) = Result.bind
+exception Lookup of Errno.t
 
-let parse_path t s =
-  Path.parse ~max_name_len:t.cfg.Config.max_name_len ~max_path_len:t.cfg.Config.max_path_len s
+let fail e = raise_notrace (Lookup e)
 
-(* Walk components from [ino].  [hops] counts symlink traversals across the
-   whole lookup (ELOOP past the limit).  [follow_last] controls whether a
-   symlink in final position is resolved. *)
-let rec step t ino comps ~follow_last ~hops =
-  match comps with
-  | [] -> Ok ino
-  | name :: rest ->
+let check_path t s =
+  match
+    Path.check ~max_name_len:t.cfg.Config.max_name_len
+      ~max_path_len:t.cfg.Config.max_path_len s
+  with
+  | None -> ()
+  | Some e -> fail e
+
+let start_ino t path = if path.[0] = '/' then t.root else t.cwd
+
+(* Walk the components of [s.[i..stop)] from directory [ino].  [t.hops]
+   counts symlink traversals across the whole lookup (ELOOP past the
+   limit).  [follow_last] controls whether a symlink in final position
+   is resolved; one followed elsewhere resolves its target fully, from
+   the root or from the directory holding it, then the walk goes on. *)
+let rec walk t ino s i stop ~follow_last =
+  let i = Path.skip_slashes s i stop in
+  if i >= stop then ino
+  else begin
+    let j = Path.component_end s i stop in
     let node = get t ino in
-    (match node.Node.body with
-     | Node.Dir entries ->
-       if not (may_exec t node) then Error Errno.EACCES
-       else begin
-         match Hashtbl.find_opt entries name with
-         | None -> Error Errno.ENOENT
-         | Some child_ino ->
-           let child = get t child_ino in
-           (match child.Node.body with
-            | Node.Symlink target when rest <> [] || follow_last ->
-              if hops >= t.cfg.Config.max_symlink_depth then Error Errno.ELOOP
-              else
-                let* p = parse_path t target in
-                let start = if p.Path.absolute then t.root else ino in
-                step t start (p.Path.components @ rest) ~follow_last ~hops:(hops + 1)
-            | _ -> step t child_ino rest ~follow_last ~hops)
-       end
-     | Node.Symlink _ -> Error Errno.ELOOP  (* unreachable: resolved above *)
-     | _ -> Error Errno.ENOTDIR)
+    match node.Node.body with
+    | Node.Dir entries ->
+      if not (may_exec t node) then fail Errno.EACCES;
+      let child_ino =
+        match Hashtbl.find entries (String.sub s i (j - i)) with
+        | c -> c
+        | exception Not_found -> fail Errno.ENOENT
+      in
+      (match (get t child_ino).Node.body with
+       | Node.Symlink target when follow_last || Path.skip_slashes s j stop < stop ->
+         if t.hops >= t.cfg.Config.max_symlink_depth then fail Errno.ELOOP;
+         check_path t target;
+         t.hops <- t.hops + 1;
+         let start = if target.[0] = '/' then t.root else ino in
+         let ino = walk t start target 0 (String.length target) ~follow_last:true in
+         walk t ino s j stop ~follow_last
+       | _ -> walk t child_ino s j stop ~follow_last)
+    | Node.Symlink _ -> fail Errno.ELOOP  (* unreachable: resolved above *)
+    | _ -> fail Errno.ENOTDIR
+  end
 
-let resolve ?(follow_last = true) t path =
-  let* p = parse_path t path in
-  let start = if p.Path.absolute then t.root else t.cwd in
-  let* ino = step t start p.Path.components ~follow_last ~hops:0 in
-  if p.Path.trailing_slash && not (Node.is_dir (get t ino)) then Error Errno.ENOTDIR
-  else Ok ino
+let resolve_ino t path ~follow_last =
+  check_path t path;
+  t.hops <- 0;
+  let ino = walk t (start_ino t path) path 0 (String.length path) ~follow_last in
+  if Path.trailing_slash path && not (Node.is_dir (get t ino)) then fail Errno.ENOTDIR;
+  ino
 
 (* Resolve all but the final component; answers the directory inode and the
    final name.  The root path answers [(root, ".")]. *)
-let resolve_parent t path =
-  let* p = parse_path t path in
-  let start = if p.Path.absolute then t.root else t.cwd in
-  match List.rev p.Path.components with
-  | [] -> Ok (t.root, ".")
-  | last :: rev_prefix ->
-    let* dir_ino = step t start (List.rev rev_prefix) ~follow_last:true ~hops:0 in
+let resolve_parent_ino t path =
+  check_path t path;
+  let stop = Path.last_end path (String.length path) in
+  if stop = 0 then (t.root, ".")
+  else begin
+    let name_start = Path.last_start path stop in
+    t.hops <- 0;
+    let dir_ino = walk t (start_ino t path) path 0 name_start ~follow_last:true in
     let dir = get t dir_ino in
-    if not (Node.is_dir dir) then Error Errno.ENOTDIR
-    else if not (may_exec t dir) then Error Errno.EACCES
-    else Ok (dir_ino, last)
+    if not (Node.is_dir dir) then fail Errno.ENOTDIR
+    else if not (may_exec t dir) then fail Errno.EACCES
+    else (dir_ino, String.sub path name_start (stop - name_start))
+  end
+
+let lookup_result f = match f () with v -> Ok v | exception Lookup e -> Error e
+
+let resolve ?(follow_last = true) t path =
+  lookup_result (fun () -> resolve_ino t path ~follow_last)
+
+let resolve_parent t path = lookup_result (fun () -> resolve_parent_ino t path)
+
+let inode t ino = Hashtbl.find_opt t.nodes ino
 
 let lookup_in t dir_ino name =
   match name with
@@ -215,7 +259,9 @@ let create ?(config = Config.default) () =
       gid = config.Config.gid;
       read_only = config.Config.read_only;
       injected = [];
-      durable = { d_nodes = Hashtbl.create 16 };
+      durable = Hashtbl.create 16;
+      changed = [];
+      hops = 0;
       journal = None;
     }
   in
@@ -232,15 +278,15 @@ let create ?(config = Config.default) () =
   t.next_ino <- 3;
   ignore (charge t ~owner:0 1);
   (* the fresh file system is durable, as after mkfs *)
-  let d_nodes = Hashtbl.create 16 in
-  Hashtbl.add d_nodes t.root (Node.copy root);
-  t.durable <- { d_nodes };
+  Hashtbl.add t.durable t.root root;
   t
 
 (* --- directory entry helpers --- *)
 
 let add_entry t dir_ino name child =
   let dir = get t dir_ino in
+  touch t dir;
+  touch t child;
   Hashtbl.replace (Node.dir_entries dir) name child.Node.ino;
   dir.Node.mtime <- tick t;
   if Node.is_dir child then begin
@@ -251,53 +297,68 @@ let add_entry t dir_ino name child =
 
 let remove_entry t dir_ino name child =
   let dir = get t dir_ino in
+  touch t dir;
+  touch t child;
   Hashtbl.remove (Node.dir_entries dir) name;
   dir.Node.mtime <- tick t;
   if Node.is_dir child then dir.Node.nlink <- dir.Node.nlink - 1
 
-(* --- durability / crash model --- *)
+(* --- durability / crash model ---
+   [t.durable] holds, per inode, the node as of its last durable point.
+   A sync hands over each node touched since the previous sync as it is,
+   and a crash adopts the durable nodes as they are: no copying on
+   either side.  While a node is unchanged, live state and durable image
+   share it; [touch] splits them before the first write. *)
 
 let persist_node t (node : Node.t) =
-  let copy =
-    if Node.is_reg node && fault_fires t Fault.Fsync_skips_data then begin
-      (* buggy fsync: metadata (size, mode, ...) persists, data does not —
-         the durable extents stay whatever they were. *)
-      let c = Node.copy node in
-      (match (Hashtbl.find_opt t.durable.d_nodes node.ino, c.Node.body) with
-       | Some { Node.body = Node.Reg old; _ }, Node.Reg fresh ->
-         fresh.extents <- old.extents
-       | _, Node.Reg fresh -> fresh.extents <- []
-       | _ -> ());
-      c
-    end
-    else Node.copy node
-  in
-  Hashtbl.replace t.durable.d_nodes node.ino copy
+  let copy = Node.copy node in
+  (if Node.is_reg node && fault_fires t Fault.Fsync_skips_data then
+     (* buggy fsync: metadata (size, mode, ...) persists, data does not —
+        the durable extents stay whatever they were. *)
+     match (Hashtbl.find_opt t.durable node.ino, copy.Node.body) with
+     | Some { Node.body = Node.Reg old; _ }, Node.Reg fresh -> fresh.extents <- old.extents
+     | _, Node.Reg fresh -> fresh.extents <- []
+     | _ -> ());
+  Hashtbl.replace t.durable node.ino copy
 
 let sync_all t =
-  let d_nodes = Hashtbl.create (Hashtbl.length t.nodes) in
-  Hashtbl.iter (fun ino node -> Hashtbl.add d_nodes ino (Node.copy node)) t.nodes;
-  t.durable <- { d_nodes }
+  List.iter
+    (fun ino ->
+      match Hashtbl.find t.nodes ino with
+      | node ->
+        if node.Node.changed then begin
+          node.Node.changed <- false;
+          Hashtbl.replace t.durable ino node
+        end
+      | exception Not_found -> Hashtbl.remove t.durable ino)
+    t.changed;
+  t.changed <- []
 
 let crash_recover t =
-  let d = t.durable in
-  Hashtbl.reset t.nodes;
-  Hashtbl.reset t.fds;
-  Hashtbl.reset t.quota;
+  Hashtbl.clear t.nodes;
+  Hashtbl.clear t.fds;
+  Hashtbl.clear t.quota;
+  t.changed <- [];
   t.used <- 0;
   t.cwd <- t.root;
-  (* Copy the durable nodes reachable from the root.  A durable directory
-     entry may name an inode that was never fsynced: recover it as an
-     empty file (metadata journaled, data lost). *)
-  let next_ino = ref t.next_ino in
+  (* Adopt the durable nodes reachable from the root; no descriptor
+     survives.  A durable directory entry may name an inode that was never
+     fsynced: recover it as an empty file (metadata journaled, data
+     lost). *)
   let rec restore ino =
     if not (Hashtbl.mem t.nodes ino) then begin
       let node =
-        match Hashtbl.find_opt d.d_nodes ino with
-        | Some n -> Node.copy n
+        match Hashtbl.find_opt t.durable ino with
+        | Some n ->
+          n.Node.open_fds <- 0;
+          n
         | None ->
-          Node.create ~ino ~body:(Node.Reg { extents = [] }) ~mode:0o644 ~uid:0
-            ~gid:0 ~now:t.clock
+          let n =
+            Node.create ~ino ~body:(Node.Reg { extents = [] }) ~mode:0o644 ~uid:0
+              ~gid:0 ~now:t.clock
+          in
+          touch t n;
+          n
       in
       Hashtbl.add t.nodes ino node;
       let data = if Node.is_reg node then blocks_of_size t node.size else 0 in
@@ -309,16 +370,23 @@ let crash_recover t =
     end
   in
   restore t.root;
-  t.next_ino <- max t.next_ino !next_ino
+  (* durable copies the namespace no longer reaches leave at the next sync *)
+  Hashtbl.iter
+    (fun ino _ -> if not (Hashtbl.mem t.nodes ino) then t.changed <- ino :: t.changed)
+    t.durable
 
 (* --- fd table --- *)
 
-let find_fd t fd = Hashtbl.find_opt t.fds fd
+let find_fd t fd =
+  match Hashtbl.find t.fds fd with e -> e | exception Not_found -> fail Errno.EBADF
+
+let rec first_free_fd t fd = if Hashtbl.mem t.fds fd then first_free_fd t (fd + 1) else fd
 
 let alloc_fd t entry =
-  let rec first_free fd = if Hashtbl.mem t.fds fd then first_free (fd + 1) else fd in
-  let fd = first_free 3 in
+  let fd = first_free_fd t 3 in
   Hashtbl.add t.fds fd entry;
+  let node = get t entry.fd_ino in
+  node.Node.open_fds <- node.Node.open_fds + 1;
   fd
 
 (* --- environment injection --- *)
@@ -350,301 +418,294 @@ let do_open t ~path ~flags ~mode =
   let wants_write = writable flags || has flags O_TRUNC in
   let tmpfile = has flags O_TMPFILE in
   (* a trailing slash commits the final component to being a directory *)
-  let trailing_slash = String.length path > 1 && path.[String.length path - 1] = '/' in
+  let trailing_slash = Path.trailing_slash path in
   if tmpfile && not (writable flags) then err Errno.EINVAL
   else begin
-    match resolve_parent t path with
-    | Error e -> err e
-    | Ok (dir_ino, name) ->
-      let existing =
-        match lookup_in t dir_ino name with
-        | Some ino ->
-          (* final symlink handling *)
-          let node = get t ino in
-          if Node.is_symlink node && not (has flags O_NOFOLLOW) then
-            (match step t dir_ino [ name ] ~follow_last:true ~hops:0 with
-             | Ok ino' -> `Found ino'
-             | Error e -> `Err e)
-          else `Found ino
-        | None -> `Absent
-      in
-      (match existing with
-       | `Err e -> err e
-       | `Absent when tmpfile -> err Errno.ENOTDIR (* path must name a dir *)
-       | `Absent ->
-         if not (has flags O_CREAT) then err Errno.ENOENT
-         else if trailing_slash then err Errno.EISDIR (* cannot creat "x/" *)
-         else if name = "." || name = ".." then err Errno.EISDIR
-         else if t.read_only then err Errno.EROFS
-         else begin
-           let dir = get t dir_ino in
-           if not (may_write t dir && may_exec t dir) then err Errno.EACCES
-           else if Hashtbl.length t.fds >= t.cfg.Config.max_open_files then err Errno.EMFILE
+    let dir_ino, name = resolve_parent_ino t path in
+    let existing =
+      match lookup_in t dir_ino name with
+      | Some ino ->
+        (* final symlink handling *)
+        let node = get t ino in
+        if Node.is_symlink node && not (has flags O_NOFOLLOW) then begin
+          t.hops <- 0;
+          `Found (walk t dir_ino name 0 (String.length name) ~follow_last:true)
+        end
+        else `Found ino
+      | None -> `Absent
+    in
+    (match existing with
+     | `Absent when tmpfile -> err Errno.ENOTDIR (* path must name a dir *)
+     | `Absent ->
+       if not (has flags O_CREAT) then err Errno.ENOENT
+       else if trailing_slash then err Errno.EISDIR (* cannot creat "x/" *)
+       else if name = "." || name = ".." then err Errno.EISDIR
+       else if t.read_only then err Errno.EROFS
+       else begin
+         let dir = get t dir_ino in
+         if not (may_write t dir && may_exec t dir) then err Errno.EACCES
+         else if Hashtbl.length t.fds >= t.cfg.Config.max_open_files then err Errno.EMFILE
+         else if
+           Hashtbl.length t.fds + t.system_file_load >= t.cfg.Config.max_system_files
+         then err Errno.ENFILE
+         else
+           match charge t ~owner:t.uid 1 with
+           | Error e -> err e
+           | Ok () ->
+             let mode =
+               if mode land 0o7777 <> 0 && fault_fires t Fault.Creat_mode_ignored
+               then 0
+               else mode land 0o7777
+             in
+             let node = alloc_node t ~body:(Node.Reg { extents = [] }) ~mode in
+             add_entry t dir_ino name node;
+             jot t
+               (Journal.Create
+                  { dir = dir_ino; name; ino = node.Node.ino; kind = Journal.K_reg;
+                    mode = node.Node.mode; uid = t.uid; gid = t.gid });
+             let entry =
+               { fd_ino = node.Node.ino; fd_flags = flags; fd_offset = 0;
+                 fd_pathname = Some path }
+             in
+             ret (alloc_fd t entry)
+       end
+     | `Found ino ->
+       let node = get t ino in
+       if has flags O_CREAT && has flags O_EXCL then err Errno.EEXIST
+       else if node.Node.busy then err Errno.EBUSY
+       else if Node.is_symlink node then err Errno.ELOOP (* O_NOFOLLOW hit a link *)
+       else if trailing_slash && not (Node.is_dir node) then err Errno.ENOTDIR
+       else if has flags O_DIRECTORY && not (Node.is_dir node) then err Errno.ENOTDIR
+       else begin
+         match node.Node.body with
+         | Node.Device { driverless = true } -> err Errno.ENXIO
+         | Node.Device { driverless = false } -> err Errno.ENODEV
+         | Node.Fifo when has flags O_NONBLOCK && access_mode flags = O_WRONLY ->
+           (* no reader is ever present in the single-process model *)
+           err Errno.ENXIO
+         | Node.Dir _ when wants_write && not tmpfile -> err Errno.EISDIR
+         | _ ->
+           if tmpfile && not (Node.is_dir node) then err Errno.ENOTDIR
+           else if t.read_only && wants_write then err Errno.EROFS
+           else if node.Node.executing && writable flags then err Errno.ETXTBSY
+           else if node.Node.immutable_ && wants_write then err Errno.EPERM
+           else if
+             (not (has flags O_PATH))
+             && ((readable flags && not (may_read t node))
+                 || (writable flags && not (may_write t node)))
+           then err Errno.EACCES
+           else if
+             Node.is_reg node
+             && node.Node.size >= t.cfg.Config.large_file_threshold
+             && ((not (has flags O_LARGEFILE))
+                 || fault_fires t Fault.Largefile_eoverflow)
+           then err Errno.EOVERFLOW
+           else if Hashtbl.length t.fds >= t.cfg.Config.max_open_files then
+             err Errno.EMFILE
            else if
              Hashtbl.length t.fds + t.system_file_load >= t.cfg.Config.max_system_files
            then err Errno.ENFILE
-           else
-             match charge t ~owner:t.uid 1 with
-             | Error e -> err e
-             | Ok () ->
-               let mode =
-                 if mode land 0o7777 <> 0 && fault_fires t Fault.Creat_mode_ignored
-                 then 0
-                 else mode land 0o7777
-               in
-               let node = alloc_node t ~body:(Node.Reg { extents = [] }) ~mode in
-               add_entry t dir_ino name node;
-               jot t
-                 (Journal.Create
-                    { dir = dir_ino; name; ino = node.Node.ino; kind = Journal.K_reg;
-                      mode = node.Node.mode; uid = t.uid; gid = t.gid });
-               let entry =
-                 { fd_ino = node.Node.ino; fd_flags = flags; fd_offset = 0;
-                   fd_pathname = Some path }
-               in
-               ret (alloc_fd t entry)
-         end
-       | `Found ino ->
-         let node = get t ino in
-         if has flags O_CREAT && has flags O_EXCL then err Errno.EEXIST
-         else if node.Node.busy then err Errno.EBUSY
-         else if Node.is_symlink node then err Errno.ELOOP (* O_NOFOLLOW hit a link *)
-         else if trailing_slash && not (Node.is_dir node) then err Errno.ENOTDIR
-         else if has flags O_DIRECTORY && not (Node.is_dir node) then err Errno.ENOTDIR
-         else begin
-           match node.Node.body with
-           | Node.Device { driverless = true } -> err Errno.ENXIO
-           | Node.Device { driverless = false } -> err Errno.ENODEV
-           | Node.Fifo when has flags O_NONBLOCK && access_mode flags = O_WRONLY ->
-             (* no reader is ever present in the single-process model *)
-             err Errno.ENXIO
-           | Node.Dir _ when wants_write && not tmpfile -> err Errno.EISDIR
-           | _ ->
-             if tmpfile && not (Node.is_dir node) then err Errno.ENOTDIR
-             else if t.read_only && wants_write then err Errno.EROFS
-             else if node.Node.executing && writable flags then err Errno.ETXTBSY
-             else if node.Node.immutable_ && wants_write then err Errno.EPERM
-             else if
-               (not (has flags O_PATH))
-               && ((readable flags && not (may_read t node))
-                   || (writable flags && not (may_write t node)))
-             then err Errno.EACCES
-             else if
-               Node.is_reg node
-               && node.Node.size >= t.cfg.Config.large_file_threshold
-               && ((not (has flags O_LARGEFILE))
-                   || fault_fires t Fault.Largefile_eoverflow)
-             then err Errno.EOVERFLOW
-             else if Hashtbl.length t.fds >= t.cfg.Config.max_open_files then
-               err Errno.EMFILE
-             else if
-               Hashtbl.length t.fds + t.system_file_load >= t.cfg.Config.max_system_files
-             then err Errno.ENFILE
-             else begin
-               if tmpfile then begin
-                 (* anonymous file in the directory's file system *)
-                 match charge t ~owner:t.uid 1 with
-                 | Error e -> err e
-                 | Ok () ->
-                   let anon =
-                     alloc_node t ~body:(Node.Reg { extents = [] }) ~mode:(mode land 0o7777)
-                   in
-                   anon.Node.nlink <- 0;
-                   let entry =
-                     { fd_ino = anon.Node.ino; fd_flags = flags; fd_offset = 0;
-                       fd_pathname = None }
-                   in
-                   ret (alloc_fd t entry)
-               end
-               else begin
-                 if has flags O_TRUNC && writable flags && Node.is_reg node then begin
-                   (match node.Node.body with
-                    | Node.Reg r -> r.extents <- []
-                    | _ -> ());
-                   ignore (charge t ~owner:node.Node.uid (-(blocks_of_size t node.Node.size)));
-                   node.Node.size <- 0;
-                   node.Node.mtime <- tick t;
-                   jot t (Journal.Size { ino = node.Node.ino; size = 0 })
-                 end;
+           else begin
+             if tmpfile then begin
+               (* anonymous file in the directory's file system *)
+               match charge t ~owner:t.uid 1 with
+               | Error e -> err e
+               | Ok () ->
+                 let anon =
+                   alloc_node t ~body:(Node.Reg { extents = [] }) ~mode:(mode land 0o7777)
+                 in
+                 anon.Node.nlink <- 0;
                  let entry =
-                   { fd_ino = ino; fd_flags = flags; fd_offset = 0; fd_pathname = Some path }
+                   { fd_ino = anon.Node.ino; fd_flags = flags; fd_offset = 0;
+                     fd_pathname = None }
                  in
                  ret (alloc_fd t entry)
-               end
              end
-         end)
+             else begin
+               if has flags O_TRUNC && writable flags && Node.is_reg node then begin
+                 touch t node;
+                 (match node.Node.body with
+                  | Node.Reg r -> r.extents <- []
+                  | _ -> ());
+                 ignore (charge t ~owner:node.Node.uid (-(blocks_of_size t node.Node.size)));
+                 node.Node.size <- 0;
+                 node.Node.mtime <- tick t;
+                 jot t (Journal.Size { ino = node.Node.ino; size = 0 })
+               end;
+               let entry =
+                 { fd_ino = ino; fd_flags = flags; fd_offset = 0; fd_pathname = Some path }
+               in
+               ret (alloc_fd t entry)
+             end
+           end
+       end)
   end
 
 let do_read t ~fd ~count ~offset =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
-    let node = get t e.fd_ino in
-    if not (Open_flags.readable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
-    then err Errno.EBADF
-    else if Node.is_dir node then err Errno.EISDIR
-    else begin
-      match node.Node.body with
-      | Node.Fifo ->
-        if Open_flags.has e.fd_flags Open_flags.O_NONBLOCK then err Errno.EAGAIN
-        else err Errno.EINTR (* a blocking read in a single-process model *)
-      | Node.Device _ -> err Errno.ENXIO
-      | Node.Symlink _ -> err Errno.EINVAL
-      | Node.Reg _ ->
-        (match offset with
-         | Some off when off < 0 -> err Errno.EINVAL
-         | _ ->
-           let pos = match offset with Some off -> off | None -> e.fd_offset in
-           let available = max 0 (node.Node.size - pos) in
-           let n = min count available in
-           if offset = None then e.fd_offset <- e.fd_offset + n;
-           ret n)
-      | Node.Dir _ -> err Errno.EISDIR
-    end
+  let e = find_fd t fd in
+  let node = get t e.fd_ino in
+  if not (Open_flags.readable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
+  then err Errno.EBADF
+  else if Node.is_dir node then err Errno.EISDIR
+  else begin
+    match node.Node.body with
+    | Node.Fifo ->
+      if Open_flags.has e.fd_flags Open_flags.O_NONBLOCK then err Errno.EAGAIN
+      else err Errno.EINTR (* a blocking read in a single-process model *)
+    | Node.Device _ -> err Errno.ENXIO
+    | Node.Symlink _ -> err Errno.EINVAL
+    | Node.Reg _ ->
+      (match offset with
+       | Some off when off < 0 -> err Errno.EINVAL
+       | _ ->
+         let pos = match offset with Some off -> off | None -> e.fd_offset in
+         let available = max 0 (node.Node.size - pos) in
+         let n = min count available in
+         if offset = None then e.fd_offset <- e.fd_offset + n;
+         ret n)
+    | Node.Dir _ -> err Errno.EISDIR
+  end
 
 let do_write t ~fd ~count ~offset =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
-    let node = get t e.fd_ino in
-    if not (Open_flags.writable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
-    then err Errno.EBADF
-    else begin
-      match node.Node.body with
-      | Node.Fifo ->
-        if Open_flags.has e.fd_flags Open_flags.O_NONBLOCK then err Errno.EAGAIN
-        else err Errno.EIO
-      | Node.Device _ -> err Errno.ENXIO
-      | Node.Symlink _ | Node.Dir _ -> err Errno.EINVAL
-      | Node.Reg r ->
-        (match offset with
-         | Some off when off < 0 -> err Errno.EINVAL
-         | _ ->
-           if node.Node.immutable_ then err Errno.EPERM
-           else if
-             Open_flags.has e.fd_flags Open_flags.O_NONBLOCK
-             && fault_fires t Fault.Nowait_write_enospc
-           then err Errno.ENOSPC
-           else if count = 0 then begin
-             if offset = None && fault_fires t Fault.Write_zero_advances_offset then
-               e.fd_offset <- e.fd_offset + 1;
-             ret 0
-           end
+  let e = find_fd t fd in
+  let node = get t e.fd_ino in
+  if not (Open_flags.writable e.fd_flags) || Open_flags.has e.fd_flags Open_flags.O_PATH
+  then err Errno.EBADF
+  else begin
+    match node.Node.body with
+    | Node.Fifo ->
+      if Open_flags.has e.fd_flags Open_flags.O_NONBLOCK then err Errno.EAGAIN
+      else err Errno.EIO
+    | Node.Device _ -> err Errno.ENXIO
+    | Node.Symlink _ | Node.Dir _ -> err Errno.EINVAL
+    | Node.Reg r ->
+      (match offset with
+       | Some off when off < 0 -> err Errno.EINVAL
+       | _ ->
+         if node.Node.immutable_ then err Errno.EPERM
+         else if
+           Open_flags.has e.fd_flags Open_flags.O_NONBLOCK
+           && fault_fires t Fault.Nowait_write_enospc
+         then err Errno.ENOSPC
+         else if count = 0 then begin
+           if offset = None && fault_fires t Fault.Write_zero_advances_offset then
+             e.fd_offset <- e.fd_offset + 1;
+           ret 0
+         end
+         else begin
+           let pos =
+             match offset with
+             | Some off -> off
+             | None ->
+               if Open_flags.has e.fd_flags Open_flags.O_APPEND then node.Node.size
+               else e.fd_offset
+           in
+           if pos >= t.cfg.Config.max_file_size then err Errno.EFBIG
            else begin
-             let pos =
-               match offset with
-               | Some off -> off
-               | None ->
-                 if Open_flags.has e.fd_flags Open_flags.O_APPEND then node.Node.size
-                 else e.fd_offset
-             in
-             if pos >= t.cfg.Config.max_file_size then err Errno.EFBIG
-             else begin
-               (* clamp to the file-size limit: POSIX permits short writes *)
-               let count = min count (t.cfg.Config.max_file_size - pos) in
-               let new_size = max node.Node.size (pos + count) in
-               let delta = blocks_of_size t new_size - blocks_of_size t node.Node.size in
-               let charged =
-                 match charge t ~owner:node.Node.uid delta with
-                 | Ok () -> Ok count
-                 | Error e ->
-                   (* partial write into the remaining blocks; the room
-                      is bounded by whichever of device capacity and the
-                      owner's quota is tighter, so a quota-bound write
-                      short-writes up to the limit (EDQUOT only on zero
-                      progress), mirroring the ENOSPC case *)
-                   let free_blocks =
-                     let device = t.cfg.Config.total_blocks - t.used in
-                     match t.cfg.Config.quota_blocks with
-                     | Some limit when node.Node.uid <> 0 ->
-                       min device (max 0 (limit - !(quota_used t node.Node.uid)))
-                     | _ -> device
-                   in
-                   let free_bytes = free_blocks * t.cfg.Config.block_size in
-                   let room =
-                     max 0
-                       (blocks_of_size t node.Node.size * t.cfg.Config.block_size - pos)
-                   in
-                   let possible = min count (room + free_bytes) in
-                   if possible <= 0 then Error e
-                   else begin
-                     let new_size' = max node.Node.size (pos + possible) in
-                     let delta' =
-                       blocks_of_size t new_size' - blocks_of_size t node.Node.size
-                     in
-                     match charge t ~owner:node.Node.uid delta' with
-                     | Ok () -> Ok possible
-                     | Error e -> Error e
-                   end
-               in
-               match charged with
+             (* clamp to the file-size limit: POSIX permits short writes *)
+             let count = min count (t.cfg.Config.max_file_size - pos) in
+             let new_size = max node.Node.size (pos + count) in
+             let delta = blocks_of_size t new_size - blocks_of_size t node.Node.size in
+             let charged =
+               match charge t ~owner:node.Node.uid delta with
+               | Ok () -> Ok count
                | Error e ->
-                 if e = Errno.ENOSPC && fault_fires t Fault.Enospc_swallowed then ret 0
-                 else err e
-               | Ok n ->
-                 let fill = fill_byte t in
-                 let old_size = node.Node.size in
-                 r.extents <- Node.write_extents r.extents ~off:pos ~len:n ~fill;
-                 node.Node.size <- max node.Node.size (pos + n);
-                 node.Node.mtime <- tick t;
-                 if offset = None then e.fd_offset <- pos + n;
-                 let grown =
-                   blocks_of_size t node.Node.size - blocks_of_size t old_size
+                 (* partial write into the remaining blocks; the room
+                    is bounded by whichever of device capacity and the
+                    owner's quota is tighter, so a quota-bound write
+                    short-writes up to the limit (EDQUOT only on zero
+                    progress), mirroring the ENOSPC case *)
+                 let free_blocks =
+                   let device = t.cfg.Config.total_blocks - t.used in
+                   match t.cfg.Config.quota_blocks with
+                   | Some limit when node.Node.uid <> 0 ->
+                     min device (max 0 (limit - !(quota_used t node.Node.uid)))
+                   | _ -> device
                  in
-                 if grown > 0 then
-                   jot t (Journal.Alloc { ino = node.Node.ino; blocks = grown });
-                 jot t (Journal.Data { ino = node.Node.ino; off = pos; len = n; fill });
-                 if node.Node.size > old_size then
-                   jot t (Journal.Size { ino = node.Node.ino; size = node.Node.size });
-                 ret n
-             end
-           end)
-    end
+                 let free_bytes = free_blocks * t.cfg.Config.block_size in
+                 let room =
+                   max 0
+                     (blocks_of_size t node.Node.size * t.cfg.Config.block_size - pos)
+                 in
+                 let possible = min count (room + free_bytes) in
+                 if possible <= 0 then Error e
+                 else begin
+                   let new_size' = max node.Node.size (pos + possible) in
+                   let delta' =
+                     blocks_of_size t new_size' - blocks_of_size t node.Node.size
+                   in
+                   match charge t ~owner:node.Node.uid delta' with
+                   | Ok () -> Ok possible
+                   | Error e -> Error e
+                 end
+             in
+             match charged with
+             | Error e ->
+               if e = Errno.ENOSPC && fault_fires t Fault.Enospc_swallowed then ret 0
+               else err e
+             | Ok n ->
+               touch t node;
+               let fill = fill_byte t in
+               let old_size = node.Node.size in
+               r.extents <- Node.write_extents r.extents ~off:pos ~len:n ~fill;
+               node.Node.size <- max node.Node.size (pos + n);
+               node.Node.mtime <- tick t;
+               if offset = None then e.fd_offset <- pos + n;
+               let grown =
+                 blocks_of_size t node.Node.size - blocks_of_size t old_size
+               in
+               if grown > 0 then
+                 jot t (Journal.Alloc { ino = node.Node.ino; blocks = grown });
+               jot t (Journal.Data { ino = node.Node.ino; off = pos; len = n; fill });
+               if node.Node.size > old_size then
+                 jot t (Journal.Size { ino = node.Node.ino; size = node.Node.size });
+               ret n
+           end
+         end)
+  end
 
 let do_lseek t ~fd ~offset ~whence =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
-    let node = get t e.fd_ino in
-    (match node.Node.body with
-     | Node.Fifo -> err Errno.ESPIPE
-     | _ ->
-       let result =
-         match whence with
-         | Whence.SEEK_SET -> Ok offset
-         | Whence.SEEK_CUR -> Ok (e.fd_offset + offset)
-         | Whence.SEEK_END -> Ok (node.Node.size + offset)
-         | Whence.SEEK_DATA ->
-           (match node.Node.body with
-            | Node.Reg r ->
-              if offset < 0 || offset >= node.Node.size then Error Errno.ENXIO
-              else
-                (match Node.next_data r.extents ~off:offset with
-                 | Some pos when pos < node.Node.size -> Ok pos
-                 | _ -> Error Errno.ENXIO)
-            | _ -> Error Errno.EINVAL)
-         | Whence.SEEK_HOLE ->
-           (match node.Node.body with
-            | Node.Reg r ->
-              if offset < 0 || offset >= node.Node.size then Error Errno.ENXIO
-              else begin
-                let hole = min (Node.next_hole r.extents ~off:offset) node.Node.size in
-                let hole =
-                  if hole = node.Node.size && fault_fires t Fault.Seek_hole_off_by_one then
-                    hole + 1
-                  else hole
-                in
-                Ok hole
-              end
-            | _ -> Error Errno.EINVAL)
-       in
-       (match result with
-        | Error e -> err e
-        | Ok pos when pos < 0 -> err Errno.EINVAL
-        | Ok pos when pos > 1 lsl 60 -> err Errno.EOVERFLOW
-        | Ok pos ->
-          e.fd_offset <- pos;
-          ret pos))
+  let e = find_fd t fd in
+  let node = get t e.fd_ino in
+  (match node.Node.body with
+   | Node.Fifo -> err Errno.ESPIPE
+   | _ ->
+     let result =
+       match whence with
+       | Whence.SEEK_SET -> Ok offset
+       | Whence.SEEK_CUR -> Ok (e.fd_offset + offset)
+       | Whence.SEEK_END -> Ok (node.Node.size + offset)
+       | Whence.SEEK_DATA ->
+         (match node.Node.body with
+          | Node.Reg r ->
+            if offset < 0 || offset >= node.Node.size then Error Errno.ENXIO
+            else
+              (match Node.next_data r.extents ~off:offset with
+               | Some pos when pos < node.Node.size -> Ok pos
+               | _ -> Error Errno.ENXIO)
+          | _ -> Error Errno.EINVAL)
+       | Whence.SEEK_HOLE ->
+         (match node.Node.body with
+          | Node.Reg r ->
+            if offset < 0 || offset >= node.Node.size then Error Errno.ENXIO
+            else begin
+              let hole = min (Node.next_hole r.extents ~off:offset) node.Node.size in
+              let hole =
+                if hole = node.Node.size && fault_fires t Fault.Seek_hole_off_by_one then
+                  hole + 1
+                else hole
+              in
+              Ok hole
+            end
+          | _ -> Error Errno.EINVAL)
+     in
+     (match result with
+      | Error e -> err e
+      | Ok pos when pos < 0 -> err Errno.EINVAL
+      | Ok pos when pos > 1 lsl 60 -> err Errno.EOVERFLOW
+      | Ok pos ->
+        e.fd_offset <- pos;
+        ret pos))
 
 let truncate_node t (node : Node.t) ~length =
   if length < 0 then err Errno.EINVAL
@@ -660,6 +721,7 @@ let truncate_node t (node : Node.t) ~length =
       match charge t ~owner:node.Node.uid delta with
       | Error e -> err e
       | Ok () ->
+        touch t node;
         (match node.Node.body with
          | Node.Reg r -> r.extents <- Node.truncate_extents r.extents ~size:length
          | _ -> ());
@@ -671,61 +733,54 @@ let truncate_node t (node : Node.t) ~length =
   end
 
 let do_truncate_path t ~path ~length =
-  match resolve t path with
-  | Error e -> err e
-  | Ok ino ->
-    let node = get t ino in
-    if Node.is_dir node then err Errno.EISDIR
-    else if not (Node.is_reg node) then err Errno.EINVAL
-    else if t.read_only then err Errno.EROFS
-    else if not (may_write t node) then err Errno.EACCES
-    else if node.Node.immutable_ then err Errno.EPERM
-    else if node.Node.executing then err Errno.ETXTBSY
-    else truncate_node t node ~length
+  let node = get t (resolve_ino t path ~follow_last:true) in
+  if Node.is_dir node then err Errno.EISDIR
+  else if not (Node.is_reg node) then err Errno.EINVAL
+  else if t.read_only then err Errno.EROFS
+  else if not (may_write t node) then err Errno.EACCES
+  else if node.Node.immutable_ then err Errno.EPERM
+  else if node.Node.executing then err Errno.ETXTBSY
+  else truncate_node t node ~length
 
 let do_ftruncate t ~fd ~length =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
-    let node = get t e.fd_ino in
-    if not (Open_flags.writable e.fd_flags) then err Errno.EINVAL
-    else if not (Node.is_reg node) then err Errno.EINVAL
-    else if node.Node.immutable_ then err Errno.EPERM
-    else truncate_node t node ~length
+  let e = find_fd t fd in
+  let node = get t e.fd_ino in
+  if not (Open_flags.writable e.fd_flags) then err Errno.EINVAL
+  else if not (Node.is_reg node) then err Errno.EINVAL
+  else if node.Node.immutable_ then err Errno.EPERM
+  else truncate_node t node ~length
 
 let do_mkdir t ~path ~mode =
   if not (Mode.valid mode) then err Errno.EINVAL
   else if t.read_only then err Errno.EROFS
   else begin
-    match resolve_parent t path with
-    | Error e -> err e
-    | Ok (dir_ino, name) ->
-      if name = "." || name = ".." then err Errno.EEXIST
-      else begin
-        match lookup_in t dir_ino name with
-        | Some _ -> err Errno.EEXIST
-        | None ->
-          let dir = get t dir_ino in
-          if not (may_write t dir && may_exec t dir) then err Errno.EACCES
-          else if dir.Node.nlink >= 65000 then err Errno.EMLINK
-          else begin
-            match charge t ~owner:t.uid 1 with
-            | Error e -> err e
-            | Ok () ->
-              let mode =
-                if mode land 0o7000 <> 0 && fault_fires t Fault.Mkdir_sticky_lost
-                then mode land 0o777
-                else mode land 0o7777
-              in
-              let node = alloc_node t ~body:(Node.Dir (Hashtbl.create 8)) ~mode in
-              add_entry t dir_ino name node;
-              jot t
-                (Journal.Create
-                   { dir = dir_ino; name; ino = node.Node.ino; kind = Journal.K_dir;
-                     mode = node.Node.mode; uid = t.uid; gid = t.gid });
-              ret 0
-          end
-      end
+    let dir_ino, name = resolve_parent_ino t path in
+    if name = "." || name = ".." then err Errno.EEXIST
+    else begin
+      match lookup_in t dir_ino name with
+      | Some _ -> err Errno.EEXIST
+      | None ->
+        let dir = get t dir_ino in
+        if not (may_write t dir && may_exec t dir) then err Errno.EACCES
+        else if dir.Node.nlink >= 65000 then err Errno.EMLINK
+        else begin
+          match charge t ~owner:t.uid 1 with
+          | Error e -> err e
+          | Ok () ->
+            let mode =
+              if mode land 0o7000 <> 0 && fault_fires t Fault.Mkdir_sticky_lost
+              then mode land 0o777
+              else mode land 0o7777
+            in
+            let node = alloc_node t ~body:(Node.Dir (Hashtbl.create 8)) ~mode in
+            add_entry t dir_ino name node;
+            jot t
+              (Journal.Create
+                 { dir = dir_ino; name; ino = node.Node.ino; kind = Journal.K_dir;
+                   mode = node.Node.mode; uid = t.uid; gid = t.gid });
+            ret 0
+        end
+    end
   end
 
 let do_chmod_node t (node : Node.t) ~mode =
@@ -737,6 +792,7 @@ let do_chmod_node t (node : Node.t) ~mode =
       mode lxor node.Node.mode land lnot (Mode.mask Mode.S_ISUID) = 0
       && fault_fires t Fault.Chmod_suid_kept
     then begin
+      touch t node;
       node.Node.mode <- mode;
       jot t (Journal.Mode { ino = node.Node.ino; mode });
       ret 0
@@ -744,6 +800,7 @@ let do_chmod_node t (node : Node.t) ~mode =
     else err Errno.EPERM
   end
   else begin
+    touch t node;
     node.Node.mode <- mode;
     node.Node.ctime <- tick t;
     jot t (Journal.Mode { ino = node.Node.ino; mode });
@@ -751,138 +808,132 @@ let do_chmod_node t (node : Node.t) ~mode =
   end
 
 let do_chmod_path t ~path ~mode =
-  match resolve t path with
-  | Error e -> err e
-  | Ok ino -> do_chmod_node t (get t ino) ~mode
+  do_chmod_node t (get t (resolve_ino t path ~follow_last:true)) ~mode
 
-let do_chmod_fd t ~fd ~mode =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e -> do_chmod_node t (get t e.fd_ino) ~mode
+let do_chmod_fd t ~fd ~mode = do_chmod_node t (get t (find_fd t fd).fd_ino) ~mode
 
 let do_close t ~fd =
-  match find_fd t fd with
-  | None -> err Errno.EBADF
-  | Some e ->
-    Hashtbl.remove t.fds fd;
-    let node = get t e.fd_ino in
-    maybe_free t node;
-    ret 0
+  let e = find_fd t fd in
+  Hashtbl.remove t.fds fd;
+  let node = get t e.fd_ino in
+  node.Node.open_fds <- node.Node.open_fds - 1;
+  maybe_free t node;
+  ret 0
 
 let do_chdir t ~target =
-  match target with
-  | Model.Path path ->
-    (match resolve t path with
-     | Error e -> err e
-     | Ok ino ->
-       let node = get t ino in
-       if not (Node.is_dir node) then err Errno.ENOTDIR
-       else if not (may_exec t node) then err Errno.EACCES
-       else begin
-         t.cwd <- ino;
-         ret 0
-       end)
-  | Model.Fd fd ->
-    (match find_fd t fd with
-     | None -> err Errno.EBADF
-     | Some e ->
-       let node = get t e.fd_ino in
-       if not (Node.is_dir node) then err Errno.ENOTDIR
-       else if not (may_exec t node) then err Errno.EACCES
-       else begin
-         t.cwd <- e.fd_ino;
-         ret 0
-       end)
+  let ino =
+    match target with
+    | Model.Path path -> resolve_ino t path ~follow_last:true
+    | Model.Fd fd -> (find_fd t fd).fd_ino
+  in
+  let node = get t ino in
+  if not (Node.is_dir node) then err Errno.ENOTDIR
+  else if not (may_exec t node) then err Errno.EACCES
+  else begin
+    t.cwd <- ino;
+    ret 0
+  end
 
 let xattr_overhead = 32  (* per-entry bookkeeping, as in ext4's entry header *)
 
 let xattr_space_used (node : Node.t) =
-  Hashtbl.fold
+  Node.Xattrs.fold
     (fun name (size, _) acc -> acc + String.length name + size + xattr_overhead)
     node.Node.xattrs 0
 
-let resolve_xattr_target t target ~follow =
+let xattr_target t target ~follow =
   match target with
-  | Model.Path path ->
-    let* ino = resolve ~follow_last:follow t path in
-    Ok (get t ino)
-  | Model.Fd fd ->
-    (match find_fd t fd with
-     | None -> Error Errno.EBADF
-     | Some e -> Ok (get t e.fd_ino))
+  | Model.Path path -> get t (resolve_ino t path ~follow_last:follow)
+  | Model.Fd fd -> get t (find_fd t fd).fd_ino
+
+let set_xattr t (node : Node.t) name value =
+  touch t node;
+  node.Node.xattrs <- Node.Xattrs.add name value node.Node.xattrs
 
 let do_setxattr t ~variant ~target ~name ~size ~flags =
-  let follow = variant <> Model.Sys_lsetxattr in
-  match resolve_xattr_target t target ~follow with
-  | Error e -> err e
-  | Ok node ->
-    if String.length name > 255 then err Errno.ERANGE
-    else if size < 0 then err Errno.EINVAL
-    else if String.length name = 0 || not (String.contains name '.') then err Errno.EINVAL
-    else begin
-      let prefix = List.hd (String.split_on_char '.' name) in
-      match prefix with
-      | "system" -> err Errno.ENOTSUP
-      | "trusted" when t.uid <> 0 -> err Errno.EPERM
-      | "user" | "trusted" | "security" ->
-        if t.read_only then err Errno.EROFS
-        else if size > t.cfg.Config.max_xattr_value then err Errno.E2BIG
-        else if not (may_write t node) then err Errno.EACCES
-        else begin
-          let exists = Hashtbl.mem node.Node.xattrs name in
-          match flags with
-          | Xattr_flag.XATTR_CREATE when exists -> err Errno.EEXIST
-          | Xattr_flag.XATTR_REPLACE when not exists -> err Errno.ENODATA
-          | _ ->
-            let current = xattr_space_used node in
-            let old_cost =
-              match Hashtbl.find_opt node.Node.xattrs name with
-              | Some (old_size, _) -> String.length name + old_size + xattr_overhead
-              | None -> 0
-            in
-            let new_cost = String.length name + size + xattr_overhead in
-            let fits = current - old_cost + new_cost <= t.cfg.Config.xattr_space in
-            if fits then begin
-              let fill = fill_byte t in
-              Hashtbl.replace node.Node.xattrs name (size, fill);
-              node.Node.ctime <- tick t;
-              jot t (Journal.Xattr { ino = node.Node.ino; name; size; fill });
-              ret 0
-            end
-            else if
-              (* Figure 1's bug: at the maximum value size the free-space
-                 check is miscomputed and the call wrongly succeeds,
-                 recording a wrapped (corrupted) size. *)
-              size = t.cfg.Config.max_xattr_value && fault_fires t Fault.Xattr_ibody_overflow
-            then begin
-              let fill = fill_byte t in
-              Hashtbl.replace node.Node.xattrs name (size land 0xFFFF, fill);
-              jot t
-                (Journal.Xattr { ino = node.Node.ino; name; size = size land 0xFFFF; fill });
-              ret 0
-            end
-            else err Errno.ENOSPC
-        end
-      | _ -> err Errno.ENOTSUP
-    end
+  let node = xattr_target t target ~follow:(variant <> Model.Sys_lsetxattr) in
+  if String.length name > 255 then err Errno.ERANGE
+  else if size < 0 then err Errno.EINVAL
+  else if String.length name = 0 || not (String.contains name '.') then err Errno.EINVAL
+  else begin
+    match String.sub name 0 (String.index name '.') with
+    | "system" -> err Errno.ENOTSUP
+    | "trusted" when t.uid <> 0 -> err Errno.EPERM
+    | "user" | "trusted" | "security" ->
+      if t.read_only then err Errno.EROFS
+      else if size > t.cfg.Config.max_xattr_value then err Errno.E2BIG
+      else if not (may_write t node) then err Errno.EACCES
+      else begin
+        let old = Node.Xattrs.find_opt name node.Node.xattrs in
+        match flags with
+        | Xattr_flag.XATTR_CREATE when Option.is_some old -> err Errno.EEXIST
+        | Xattr_flag.XATTR_REPLACE when Option.is_none old -> err Errno.ENODATA
+        | _ ->
+          let current = xattr_space_used node in
+          let old_cost =
+            match old with
+            | Some (old_size, _) -> String.length name + old_size + xattr_overhead
+            | None -> 0
+          in
+          let new_cost = String.length name + size + xattr_overhead in
+          let fits = current - old_cost + new_cost <= t.cfg.Config.xattr_space in
+          if fits then begin
+            let fill = fill_byte t in
+            set_xattr t node name (size, fill);
+            node.Node.ctime <- tick t;
+            jot t (Journal.Xattr { ino = node.Node.ino; name; size; fill });
+            ret 0
+          end
+          else if
+            (* Figure 1's bug: at the maximum value size the free-space
+               check is miscomputed and the call wrongly succeeds,
+               recording a wrapped (corrupted) size. *)
+            size = t.cfg.Config.max_xattr_value && fault_fires t Fault.Xattr_ibody_overflow
+          then begin
+            let fill = fill_byte t in
+            set_xattr t node name (size land 0xFFFF, fill);
+            jot t
+              (Journal.Xattr { ino = node.Node.ino; name; size = size land 0xFFFF; fill });
+            ret 0
+          end
+          else err Errno.ENOSPC
+      end
+    | _ -> err Errno.ENOTSUP
+  end
 
 let do_getxattr t ~variant ~target ~name ~size =
-  let follow = variant <> Model.Sys_lgetxattr in
-  match resolve_xattr_target t target ~follow with
-  | Error e -> err e
-  | Ok node ->
-    if String.length name > 255 then err Errno.ERANGE
-    else begin
-      match Hashtbl.find_opt node.Node.xattrs name with
-      | None -> err Errno.ENODATA
-      | Some (stored, _) ->
-        if not (may_read t node) then err Errno.EACCES
-        else if stored = 0 && fault_fires t Fault.Getxattr_empty_enodata then
-          err Errno.ENODATA
-        else if size = 0 then ret stored (* size query *)
-        else if size < stored then err Errno.ERANGE
-        else ret stored
-    end
+  let node = xattr_target t target ~follow:(variant <> Model.Sys_lgetxattr) in
+  if String.length name > 255 then err Errno.ERANGE
+  else begin
+    match Node.Xattrs.find_opt name node.Node.xattrs with
+    | None -> err Errno.ENODATA
+    | Some (stored, _) ->
+      if not (may_read t node) then err Errno.EACCES
+      else if stored = 0 && fault_fires t Fault.Getxattr_empty_enodata then
+        err Errno.ENODATA
+      else if size = 0 then ret stored (* size query *)
+      else if size < stored then err Errno.ERANGE
+      else ret stored
+  end
+
+let run_call t call =
+  match call with
+  | Model.Open_call { path; flags; mode; _ } -> do_open t ~path ~flags ~mode
+  | Model.Read_call { fd; count; offset; _ } -> do_read t ~fd ~count ~offset
+  | Model.Write_call { fd; count; offset; _ } -> do_write t ~fd ~count ~offset
+  | Model.Lseek_call { fd; offset; whence } -> do_lseek t ~fd ~offset ~whence
+  | Model.Truncate_call { target = Model.Path path; length; _ } ->
+    do_truncate_path t ~path ~length
+  | Model.Truncate_call { target = Model.Fd fd; length; _ } -> do_ftruncate t ~fd ~length
+  | Model.Mkdir_call { path; mode; _ } -> do_mkdir t ~path ~mode
+  | Model.Chmod_call { target = Model.Path path; mode; _ } -> do_chmod_path t ~path ~mode
+  | Model.Chmod_call { target = Model.Fd fd; mode; _ } -> do_chmod_fd t ~fd ~mode
+  | Model.Close_call { fd } -> do_close t ~fd
+  | Model.Chdir_call { target } -> do_chdir t ~target
+  | Model.Setxattr_call { variant; target; name; size; flags } ->
+    do_setxattr t ~variant ~target ~name ~size ~flags
+  | Model.Getxattr_call { variant; target; name; size } ->
+    do_getxattr t ~variant ~target ~name ~size
 
 let exec t call =
   let base = Model.base_of_call call in
@@ -890,23 +941,7 @@ let exec t call =
   | Some e -> err e
   | None ->
     ignore (tick t);
-    (match call with
-     | Model.Open_call { path; flags; mode; _ } -> do_open t ~path ~flags ~mode
-     | Model.Read_call { fd; count; offset; _ } -> do_read t ~fd ~count ~offset
-     | Model.Write_call { fd; count; offset; _ } -> do_write t ~fd ~count ~offset
-     | Model.Lseek_call { fd; offset; whence } -> do_lseek t ~fd ~offset ~whence
-     | Model.Truncate_call { target = Model.Path path; length; _ } ->
-       do_truncate_path t ~path ~length
-     | Model.Truncate_call { target = Model.Fd fd; length; _ } -> do_ftruncate t ~fd ~length
-     | Model.Mkdir_call { path; mode; _ } -> do_mkdir t ~path ~mode
-     | Model.Chmod_call { target = Model.Path path; mode; _ } -> do_chmod_path t ~path ~mode
-     | Model.Chmod_call { target = Model.Fd fd; mode; _ } -> do_chmod_fd t ~fd ~mode
-     | Model.Close_call { fd } -> do_close t ~fd
-     | Model.Chdir_call { target } -> do_chdir t ~target
-     | Model.Setxattr_call { variant; target; name; size; flags } ->
-       do_setxattr t ~variant ~target ~name ~size ~flags
-     | Model.Getxattr_call { variant; target; name; size } ->
-       do_getxattr t ~variant ~target ~name ~size)
+    (match run_call t call with outcome -> outcome | exception Lookup e -> err e)
 
 (* --- auxiliary operations --- *)
 
@@ -941,7 +976,7 @@ let sticky_blocks t dir (node : Node.t) =
 let do_unlink t path =
   if t.read_only then Error Errno.EROFS
   else
-    let* dir_ino, name = resolve_parent t path in
+    let dir_ino, name = resolve_parent_ino t path in
     match lookup_in t dir_ino name with
     | None -> Error Errno.ENOENT
     | Some ino ->
@@ -962,7 +997,7 @@ let do_unlink t path =
 let do_rmdir t path =
   if t.read_only then Error Errno.EROFS
   else
-    let* dir_ino, name = resolve_parent t path in
+    let dir_ino, name = resolve_parent_ino t path in
     if name = "." then Error Errno.EINVAL
     else
       match lookup_in t dir_ino name with
@@ -990,7 +1025,7 @@ let do_rmdir t path =
 let do_symlink t target linkpath =
   if t.read_only then Error Errno.EROFS
   else
-    let* dir_ino, name = resolve_parent t linkpath in
+    let dir_ino, name = resolve_parent_ino t linkpath in
     if lookup_in t dir_ino name <> None then Error Errno.EEXIST
     else begin
       let dir = get t dir_ino in
@@ -1009,17 +1044,19 @@ let do_symlink t target linkpath =
 let do_link t existing newpath =
   if t.read_only then Error Errno.EROFS
   else
-    let* src_ino = resolve t existing in
+    let src_ino = resolve_ino t existing ~follow_last:true in
     let src = get t src_ino in
     if Node.is_dir src then Error Errno.EPERM
     else
-      let* dir_ino, name = resolve_parent t newpath in
+      let dir_ino, name = resolve_parent_ino t newpath in
       if lookup_in t dir_ino name <> None then Error Errno.EEXIST
       else begin
         let dir = get t dir_ino in
         if not (may_write t dir && may_exec t dir) then Error Errno.EACCES
         else if src.Node.nlink >= 65000 then Error Errno.EMLINK
         else begin
+          touch t dir;
+          touch t src;
           Hashtbl.replace (Node.dir_entries dir) name src_ino;
           src.Node.nlink <- src.Node.nlink + 1;
           jot t (Journal.Link { dir = dir_ino; name; ino = src_ino });
@@ -1043,12 +1080,12 @@ let is_ancestor t ~ancestor ino =
 let do_rename t oldpath newpath =
   if t.read_only then Error Errno.EROFS
   else
-    let* old_dir, old_name = resolve_parent t oldpath in
+    let old_dir, old_name = resolve_parent_ino t oldpath in
     match lookup_in t old_dir old_name with
     | None -> Error Errno.ENOENT
     | Some src_ino ->
       let src = get t src_ino in
-      let* new_dir, new_name = resolve_parent t newpath in
+      let new_dir, new_name = resolve_parent_ino t newpath in
       if Node.is_dir src && is_ancestor t ~ancestor:src_ino new_dir then
         Error Errno.EINVAL
       else
@@ -1088,15 +1125,12 @@ let do_rename t oldpath newpath =
       end
 
 let do_fsync t fd ~data_only =
-  match find_fd t fd with
-  | None -> Error Errno.EBADF
-  | Some e ->
-    persist_node t (get t e.fd_ino);
-    jot t (Journal.Barrier { scope = Journal.Ino e.fd_ino; data_only });
-    Ok 0
+  let e = find_fd t fd in
+  persist_node t (get t e.fd_ino);
+  jot t (Journal.Barrier { scope = Journal.Ino e.fd_ino; data_only });
+  Ok 0
 
-let exec_aux t aux =
-  ignore (tick t);
+let run_aux t aux =
   match aux with
   | Unlink path -> do_unlink t path
   | Rmdir path -> do_rmdir t path
@@ -1112,6 +1146,10 @@ let exec_aux t aux =
   | Crash ->
     crash_recover t;
     Ok 0
+
+let exec_aux t aux =
+  ignore (tick t);
+  match run_aux t aux with result -> result | exception Lookup e -> Error e
 
 (* --- journal replay: materializing a crash image --- *)
 
@@ -1134,6 +1172,7 @@ let apply_record t (r : Journal.record) =
       in
       let node = Node.create ~ino ~body ~mode ~uid ~gid ~now:(tick t) in
       Hashtbl.add t.nodes ino node;
+      touch t node;
       if ino >= t.next_ino then t.next_ino <- ino + 1;
       ignore (charge t ~owner:uid 1);
       match Hashtbl.find_opt t.nodes dir with
@@ -1143,6 +1182,8 @@ let apply_record t (r : Journal.record) =
   | Journal.Link { dir; name; ino } ->
     (match (Hashtbl.find_opt t.nodes dir, Hashtbl.find_opt t.nodes ino) with
      | Some d, Some node when Node.is_dir d ->
+       touch t d;
+       touch t node;
        Hashtbl.replace (Node.dir_entries d) name ino;
        node.Node.nlink <- node.Node.nlink + 1
      | _ -> ())
@@ -1180,6 +1221,7 @@ let apply_record t (r : Journal.record) =
   | Journal.Size { ino; size } ->
     (match Hashtbl.find_opt t.nodes ino with
      | Some node when Node.is_reg node ->
+       touch t node;
        ignore
          (charge t ~owner:node.Node.uid
             (blocks_of_size t size - blocks_of_size t node.Node.size));
@@ -1190,16 +1232,19 @@ let apply_record t (r : Journal.record) =
      | _ -> ())
   | Journal.Mode { ino; mode } ->
     (match Hashtbl.find_opt t.nodes ino with
-     | Some node -> node.Node.mode <- mode
+     | Some node ->
+       touch t node;
+       node.Node.mode <- mode
      | None -> ())
   | Journal.Xattr { ino; name; size; fill } ->
     (match Hashtbl.find_opt t.nodes ino with
-     | Some node -> Hashtbl.replace node.Node.xattrs name (size, fill)
+     | Some node -> set_xattr t node name (size, fill)
      | None -> ())
   | Journal.Alloc _ -> ()  (* accounting travels with Size *)
   | Journal.Data { ino; off; len; fill } ->
     (match Hashtbl.find_opt t.nodes ino with
-     | Some { Node.body = Node.Reg r; _ } ->
+     | Some ({ Node.body = Node.Reg r; _ } as node) ->
+       touch t node;
        r.extents <- Node.write_extents r.extents ~off ~len ~fill
      | _ -> ())  (* orphaned blocks: the inode never became durable *)
   | Journal.Barrier _ -> ()
@@ -1231,7 +1276,9 @@ let mknod_special t path kind =
 
 let with_node t path f =
   let* ino = resolve t path in
-  Ok (f (get t ino))
+  let node = get t ino in
+  touch t node;
+  Ok (f node)
 
 let set_immutable t path v = with_node t path (fun n -> n.Node.immutable_ <- v)
 let set_executing t path v = with_node t path (fun n -> n.Node.executing <- v)
@@ -1301,7 +1348,7 @@ let read_byte t path off =
   | _ -> Error Errno.EINVAL
 
 let fd_path t fd =
-  match find_fd t fd with
+  match Hashtbl.find_opt t.fds fd with
   | Some e -> e.fd_pathname
   | None -> None
 
@@ -1312,11 +1359,11 @@ let used_blocks t = t.used
 let xattr_names t path =
   let* ino = resolve t path in
   let node = get t ino in
-  Ok (Hashtbl.fold (fun n _ acc -> n :: acc) node.Node.xattrs [] |> List.sort String.compare)
+  Ok (List.map fst (Node.Xattrs.bindings node.Node.xattrs))
 
 let xattr_size t path name =
   let* ino = resolve t path in
   let node = get t ino in
-  match Hashtbl.find_opt node.Node.xattrs name with
+  match Node.Xattrs.find_opt name node.Node.xattrs with
   | Some (size, _) -> Ok size
   | None -> Error Errno.ENODATA

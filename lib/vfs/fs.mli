@@ -126,6 +126,20 @@ val exists : t -> string -> bool
 val list_dir : t -> string -> (string list, Iocov_syscall.Errno.t) result
 (** Entries in lexicographic order, ["."]/[".."] excluded. *)
 
+val resolve : ?follow_last:bool -> t -> string -> (int, Iocov_syscall.Errno.t) result
+(** The inode a pathname names, with the errno a syscall would see
+    ([ENOENT], [ENOTDIR], [ENAMETOOLONG], [ELOOP], [EACCES]).  A final
+    symlink is followed unless [~follow_last:false]; a trailing slash
+    demands a directory. *)
+
+val resolve_parent : t -> string -> (int * string, Iocov_syscall.Errno.t) result
+(** The directory holding a pathname's final component, and that
+    component's name; the root path answers [(root, ".")]. *)
+
+val inode : t -> int -> Node.t option
+(** The live inode of a number, for oracles and tests.  Callers must not
+    mutate it. *)
+
 val checksum : t -> string -> (int, Iocov_syscall.Errno.t) result
 (** Content digest of a regular file (see {!Node.content_checksum}). *)
 

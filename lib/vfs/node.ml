@@ -1,5 +1,7 @@
 type extent = { off : int; len : int; fill : char }
 
+module Xattrs = Map.Make (String)
+
 type body =
   | Reg of { mutable extents : extent list }
   | Dir of (string, int) Hashtbl.t
@@ -15,12 +17,14 @@ type t = {
   mutable gid : int;
   mutable nlink : int;
   mutable size : int;
-  xattrs : (string, int * char) Hashtbl.t;
+  mutable xattrs : (int * char) Xattrs.t;
   mutable immutable_ : bool;
   mutable executing : bool;
   mutable busy : bool;
   mutable mtime : int;
   mutable ctime : int;
+  mutable open_fds : int;
+  mutable changed : bool;
 }
 
 let create ~ino ~body ~mode ~uid ~gid ~now =
@@ -28,9 +32,9 @@ let create ~ino ~body ~mode ~uid ~gid ~now =
   {
     ino; body; mode; uid; gid; nlink;
     size = (match body with Symlink s -> String.length s | _ -> 0);
-    xattrs = Hashtbl.create 4;
+    xattrs = Xattrs.empty;
     immutable_ = false; executing = false; busy = false;
-    mtime = now; ctime = now;
+    mtime = now; ctime = now; open_fds = 0; changed = false;
   }
 
 let is_dir t = match t.body with Dir _ -> true | _ -> false
@@ -51,7 +55,7 @@ let copy t =
     | Fifo -> Fifo
     | Device d -> Device d
   in
-  { t with body; xattrs = Hashtbl.copy t.xattrs }
+  { t with body; open_fds = 0; changed = false }
 
 (* --- Extent algebra ---
    Invariant maintained by every operation: extents are sorted by [off],
@@ -59,32 +63,25 @@ let copy t =
 
 let ext_end e = e.off + e.len
 
-(* Remove the byte range [off, off+len) from a run list, splitting runs
-   that straddle the range boundary. *)
-let carve extents ~off ~len =
-  let stop = off + len in
-  List.concat_map
-    (fun e ->
-      if ext_end e <= off || e.off >= stop then [ e ]
-      else begin
-        let left =
-          if e.off < off then [ { e with len = off - e.off } ] else []
-        in
-        let right =
-          if ext_end e > stop then [ { off = stop; len = ext_end e - stop; fill = e.fill } ]
-          else []
-        in
-        left @ right
-      end)
-    extents
+(* One ordered pass: runs wholly before the write are copied, the run
+   straddling [off] keeps its left part, the written run goes in, runs
+   inside [off, off+len) are dropped, the run straddling the end keeps
+   its right part, and the rest of the list is shared. *)
+let rec drop_covered stop = function
+  | e :: rest when ext_end e <= stop -> drop_covered stop rest
+  | e :: rest when e.off < stop -> { off = stop; len = ext_end e - stop; fill = e.fill } :: rest
+  | l -> l
+
+let[@tail_mod_cons] rec insert_run extents ~off ~len ~fill =
+  match extents with
+  | e :: rest when ext_end e <= off -> e :: insert_run rest ~off ~len ~fill
+  | e :: _ when e.off < off ->
+    { e with len = off - e.off } :: { off; len; fill } :: drop_covered (off + len) extents
+  | l -> { off; len; fill } :: drop_covered (off + len) l
 
 let write_extents extents ~off ~len ~fill =
   if len < 0 || off < 0 then invalid_arg "Node.write_extents";
-  if len = 0 then extents
-  else begin
-    let carved = carve extents ~off ~len in
-    List.sort (fun a b -> compare a.off b.off) ({ off; len; fill } :: carved)
-  end
+  if len = 0 then extents else insert_run extents ~off ~len ~fill
 
 let truncate_extents extents ~size =
   if size < 0 then invalid_arg "Node.truncate_extents";

@@ -11,6 +11,10 @@
 
 type extent = { off : int; len : int; fill : char }
 
+module Xattrs : Map.S with type key = string
+(** Extended attributes are a persistent map, so a fresh node shares the
+    one empty map and a copy shares its original's until either writes. *)
+
 type body =
   | Reg of { mutable extents : extent list }
   | Dir of (string, int) Hashtbl.t  (** name -> child inode number *)
@@ -28,12 +32,16 @@ type t = {
   mutable gid : int;
   mutable nlink : int;
   mutable size : int;  (** logical size of a regular file or symlink *)
-  xattrs : (string, int * char) Hashtbl.t;  (** name -> (value size, fill) *)
+  mutable xattrs : (int * char) Xattrs.t;  (** name -> (value size, fill) *)
   mutable immutable_ : bool;  (** chattr +i: modifications fail [EPERM] *)
   mutable executing : bool;   (** "running binary": write-opens fail [ETXTBSY] *)
   mutable busy : bool;        (** in use by another subsystem: [EBUSY] *)
   mutable mtime : int;
   mutable ctime : int;
+  mutable open_fds : int;     (** descriptors open on this inode *)
+  mutable changed : bool;
+      (** written since the file system's last sync: the next sync makes
+          it the durable image's version of this inode *)
 }
 
 val create : ino:int -> body:body -> mode:Iocov_syscall.Mode.t -> uid:int -> gid:int -> now:int -> t
@@ -47,14 +55,18 @@ val dir_entries : t -> (string, int) Hashtbl.t
     non-directory. *)
 
 val copy : t -> t
-(** Deep copy (fresh extent list, entry table, xattr table) — the unit of
-    the durable-snapshot crash model. *)
+(** Independent copy, which the durable image keeps when the live node
+    is about to diverge from it.  The entry table is duplicated; the
+    extent list and xattr map are immutable and shared.  A copy has no
+    open descriptors and is not [changed]. *)
 
 (** {2 Extent algebra} — exposed for property testing. *)
 
 val write_extents : extent list -> off:int -> len:int -> fill:char -> extent list
-(** Insert a run, splitting/trimming any overlapped older runs.
-    Result remains sorted and non-overlapping; zero-length writes are
+(** Insert a run into a sorted, non-overlapping run list, splitting or
+    trimming any overlapped older runs, in one ordered pass: the prefix
+    before the run is copied and the suffix after it shared.  The result
+    remains sorted and non-overlapping; zero-length writes are
     identity. *)
 
 val truncate_extents : extent list -> size:int -> extent list

@@ -1,27 +1,32 @@
-type t = {
-  absolute : bool;
-  components : string list;
-  trailing_slash : bool;
-}
+let rec skip_slashes s i stop =
+  if i < stop && String.unsafe_get s i = '/' then skip_slashes s (i + 1) stop else i
 
-let parse ~max_name_len ~max_path_len s =
+let rec component_end s i stop =
+  if i < stop && String.unsafe_get s i <> '/' then component_end s (i + 1) stop else i
+
+let rec last_end s stop =
+  if stop > 0 && String.unsafe_get s (stop - 1) = '/' then last_end s (stop - 1) else stop
+
+let rec last_start s stop =
+  if stop > 0 && String.unsafe_get s (stop - 1) <> '/' then last_start s (stop - 1) else stop
+
+let trailing_slash s = String.length s > 1 && s.[String.length s - 1] = '/'
+
+(* Is some component from [i] on longer than [max_name_len]? *)
+let rec name_too_long ~max_name_len s i =
+  let n = String.length s in
+  let i = skip_slashes s i n in
+  i < n
+  &&
+  let j = component_end s i n in
+  j - i > max_name_len || name_too_long ~max_name_len s j
+
+let check ~max_name_len ~max_path_len s =
   let open Iocov_syscall in
-  if String.length s = 0 then Error Errno.ENOENT
-  else if String.length s > max_path_len then Error Errno.ENAMETOOLONG
-  else begin
-    let absolute = s.[0] = '/' in
-    let trailing_slash = String.length s > 1 && s.[String.length s - 1] = '/' in
-    let components = List.filter (fun c -> c <> "") (String.split_on_char '/' s) in
-    if List.exists (fun c -> String.length c > max_name_len) components then
-      Error Errno.ENAMETOOLONG
-    else Ok { absolute; components; trailing_slash }
-  end
-
-let to_string { absolute; components; trailing_slash } =
-  let body = String.concat "/" components in
-  let prefix = if absolute then "/" else "" in
-  let suffix = if trailing_slash && components <> [] then "/" else "" in
-  prefix ^ body ^ suffix
+  if String.length s = 0 then Some Errno.ENOENT
+  else if String.length s > max_path_len then Some Errno.ENAMETOOLONG
+  else if name_too_long ~max_name_len s 0 then Some Errno.ENAMETOOLONG
+  else None
 
 let join dir name =
   if dir = "" then name
@@ -29,7 +34,8 @@ let join dir name =
   else dir ^ "/" ^ name
 
 let basename p =
-  let parts = List.filter (fun c -> c <> "") (String.split_on_char '/' p) in
-  match List.rev parts with
-  | [] -> "/"
-  | last :: _ -> last
+  let stop = last_end p (String.length p) in
+  if stop = 0 then "/"
+  else
+    let start = last_start p stop in
+    String.sub p start (stop - start)

@@ -113,4 +113,12 @@ fi
 dune exec bin/iocov.exe -- runs diff 7 8 --cross-config --ledger "$tmp/ledger" \
   > /dev/null
 
+echo "== default lattice point gate =="
+# the default point is the VFS path every suite run takes: a sweep of
+# just that point must cover exactly the cells the plain run covers
+led="$tmp/default-ledger"
+dune exec bin/iocov.exe -- suite crashmonkey --ledger "$led" > /dev/null
+dune exec bin/iocov.exe -- suite crashmonkey --configs default --ledger "$led" > /dev/null
+dune exec bin/iocov.exe -- runs diff 1 2 --ledger "$led" | grep -q "identical"
+
 echo "all checks passed"

@@ -7,4 +7,5 @@ let () =
      @ Test_bugstudy.suites @ Test_integration.suites @ Test_extensions.suites
      @ Test_model_based.suites @ Test_obs.suites @ Test_par.suites
      @ Test_dense.suites @ Test_robust.suites @ Test_pipe.suites
-     @ Test_flight.suites @ Test_serve.suites @ Test_config.suites @ Test_live.suites)
+     @ Test_flight.suites @ Test_serve.suites @ Test_config.suites @ Test_live.suites
+     @ Test_vfs_diff.suites @ Test_golden.suites)

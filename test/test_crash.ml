@@ -185,6 +185,19 @@ let crash_durability_prop =
           match Fs.checksum fs path with Ok sum' -> sum = sum' | Error _ -> false)
         snapshot)
 
+(* A descriptor open at the crash dies with it: the recovered inode has
+   no opener left, so unlinking its only name frees it at once. *)
+let test_crash_releases_open_inodes () =
+  let fs = setup () in
+  let before = Fs.free_blocks fs in
+  let _fd = write_file fs "/d/o" 8192 in
+  ignore (Fs.exec_aux fs Fs.Sync);
+  ignore (Fs.exec_aux fs Fs.Crash);
+  (match Fs.exec_aux fs (Fs.Unlink "/d/o") with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "unlink: %s" (Errno.to_string e));
+  check_int "every block returned" before (Fs.free_blocks fs)
+
 let suites =
   [ ( "vfs.crash",
       [ Alcotest.test_case "unsynced state lost" `Quick test_unsynced_lost;
@@ -197,6 +210,8 @@ let suites =
         Alcotest.test_case "volatile overwrite rolls back" `Quick
           test_overwrite_after_sync_rolls_back;
         Alcotest.test_case "crash clears fds" `Quick test_crash_clears_fd_table;
+        Alcotest.test_case "crash releases open inodes" `Quick
+          test_crash_releases_open_inodes;
         Alcotest.test_case "accounting restored" `Quick test_crash_accounting_consistent;
         Alcotest.test_case "double crash idempotent" `Quick test_double_crash_idempotent;
         Alcotest.test_case "Fsync_skips_data fault" `Quick test_fsync_skips_data_fault;

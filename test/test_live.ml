@@ -1,8 +1,9 @@
 (* Tests for the live path: the per-event inline session against the
    batched sharded session and [Replay.analyze_events] on real suite
    streams (snapshots, metric deltas, error reporting), the tracer's
-   canonical-path builder against the split/fold it replaced, and the
-   bounded mount-verdict memo. *)
+   canonical-path builder against the split/fold it replaced, its aux
+   record text against [Printf]'s %S, and the bounded mount-verdict
+   memo. *)
 
 open Iocov_syscall
 module Fs = Iocov_vfs.Fs
@@ -377,6 +378,40 @@ let absolutize_prop =
 
 (* --- the bounded verdict memo --- *)
 
+(* Aux records render their arguments as [Printf]'s %S would (quotes
+   around [String.escaped]); the tracer builds that text by hand, so pin
+   it against the format on names that need escaping. *)
+let test_aux_detail_table () =
+  let names =
+    [ "/mnt/test/plain"; "with space"; "quote\"inside"; "back\\slash"; "tab\tnl\n";
+      "ctl\001\127"; "high\200\255"; "utf8 \xc3\xa9"; "" ]
+  in
+  let fs = Fs.create () in
+  let tracer = Tracer.create fs in
+  let details = ref [] in
+  Tracer.on_event tracer (fun e ->
+      match e.Event.payload with
+      | Event.Aux { detail; _ } -> details := detail :: !details
+      | Event.Tracked _ -> ());
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (aux, expected) ->
+          ignore (Tracer.exec_aux tracer aux);
+          check_string expected expected (List.hd !details))
+        [ (Fs.Unlink n, Printf.sprintf "path=%S" n);
+          (Fs.Rmdir n, Printf.sprintf "path=%S" n);
+          (Fs.Rename (n, n ^ "2"), Printf.sprintf "old=%S, new=%S" n (n ^ "2"));
+          (Fs.Symlink (n, "l" ^ n), Printf.sprintf "target=%S, link=%S" n ("l" ^ n));
+          (Fs.Link (n, n ^ "\""), Printf.sprintf "old=%S, new=%S" n (n ^ "\"")) ])
+    names;
+  List.iter
+    (fun (aux, expected) ->
+      ignore (Tracer.exec_aux tracer aux);
+      check_string expected expected (List.hd !details))
+    [ (Fs.Fsync 3, Printf.sprintf "fd=%d" 3); (Fs.Fdatasync (-1), Printf.sprintf "fd=%d" (-1));
+      (Fs.Sync, ""); (Fs.Crash, "") ]
+
 let test_memo_bound () =
   let filter = Filter.mount_point "/mnt/test" in
   let memo = Filter.Memo.create filter in
@@ -414,4 +449,5 @@ let suites =
       [ Alcotest.test_case "absolutize table" `Quick test_absolutize_table;
         Alcotest.test_case "relative paths after chdir" `Quick test_absolutize_after_chdir;
         QCheck_alcotest.to_alcotest absolutize_prop;
-        Alcotest.test_case "memo stays bounded and exact" `Quick test_memo_bound ] ) ]
+        Alcotest.test_case "memo stays bounded and exact" `Quick test_memo_bound;
+        Alcotest.test_case "aux detail = Printf %S table" `Quick test_aux_detail_table ] ) ]

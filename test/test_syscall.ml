@@ -64,6 +64,32 @@ let test_flags_tmpfile_subsumes_directory () =
   check_bool "O_TMPFILE" true (Open_flags.has mask Open_flags.O_TMPFILE);
   check_bool "O_DIRECTORY hidden" false (Open_flags.has mask Open_flags.O_DIRECTORY)
 
+(* [has] is a bit test; [decompose] stays its specification.  Every
+   combination of the 19 distinct Linux flag bits (the access-mode
+   field's two, O_SYNC's and O_TMPFILE's extra bit included) is checked
+   against every flag. *)
+let test_flags_has_exhaustive () =
+  let bits =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun f ->
+           let b = Open_flags.bit f in
+           List.filter (fun x -> b land x <> 0) (List.init 30 (fun i -> 1 lsl i)))
+         Open_flags.all)
+  in
+  check_int "distinct bits" 19 (List.length bits);
+  let bits = Array.of_list bits in
+  let mismatches = ref 0 in
+  for combo = 0 to (1 lsl Array.length bits) - 1 do
+    let mask = ref 0 in
+    Array.iteri (fun i b -> if combo land (1 lsl i) <> 0 then mask := !mask lor b) bits;
+    let spec = Open_flags.decompose !mask in
+    List.iter
+      (fun f -> if Open_flags.has !mask f <> List.mem f spec then incr mismatches)
+      Open_flags.all
+  done;
+  check_int "has = List.mem f (decompose t)" 0 !mismatches
+
 let test_flags_access_modes () =
   let open Open_flags in
   check_bool "rdonly readable" true (readable (of_flags [ O_RDONLY ]));
@@ -353,6 +379,8 @@ let suites =
         Alcotest.test_case "O_TMPFILE subsumes O_DIRECTORY" `Quick
           test_flags_tmpfile_subsumes_directory;
         Alcotest.test_case "access modes" `Quick test_flags_access_modes;
+        Alcotest.test_case "has = decompose, every bit combination" `Quick
+          test_flags_has_exhaustive;
         Alcotest.test_case "multiple access modes rejected" `Quick
           test_flags_multiple_access_modes_rejected;
         Alcotest.test_case "string roundtrip" `Quick test_flags_string_roundtrip;

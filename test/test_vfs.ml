@@ -137,28 +137,43 @@ let test_checksum_insensitive_to_history () =
 (* --- Path --- *)
 
 let test_path_empty_is_enoent () =
-  match Path.parse ~max_name_len:255 ~max_path_len:4096 "" with
-  | Error Errno.ENOENT -> ()
+  match Path.check ~max_name_len:255 ~max_path_len:4096 "" with
+  | Some Errno.ENOENT -> ()
   | _ -> Alcotest.fail "expected ENOENT"
 
 let test_path_component_too_long () =
-  match Path.parse ~max_name_len:10 ~max_path_len:4096 ("/" ^ String.make 11 'x') with
-  | Error Errno.ENAMETOOLONG -> ()
+  match Path.check ~max_name_len:10 ~max_path_len:4096 ("/" ^ String.make 11 'x') with
+  | Some Errno.ENAMETOOLONG -> ()
   | _ -> Alcotest.fail "expected ENAMETOOLONG"
 
 let test_path_whole_too_long () =
-  match Path.parse ~max_name_len:255 ~max_path_len:10 "/aaaa/bbbb/cccc" with
-  | Error Errno.ENAMETOOLONG -> ()
+  match Path.check ~max_name_len:255 ~max_path_len:10 "/aaaa/bbbb/cccc" with
+  | Some Errno.ENAMETOOLONG -> ()
   | _ -> Alcotest.fail "expected ENAMETOOLONG"
 
+(* The component spans the resolver visits, in order. *)
+let components s =
+  let n = String.length s in
+  let rec go i =
+    let i = Path.skip_slashes s i n in
+    if i >= n then []
+    else
+      let j = Path.component_end s i n in
+      String.sub s i (j - i) :: go j
+  in
+  go 0
+
 let test_path_parse_shapes () =
-  let p = Result.get_ok (Path.parse ~max_name_len:255 ~max_path_len:4096 "/a//b/") in
-  check_bool "absolute" true p.Path.absolute;
-  Alcotest.(check (list string)) "components" [ "a"; "b" ] p.Path.components;
-  check_bool "trailing slash" true p.Path.trailing_slash;
-  let q = Result.get_ok (Path.parse ~max_name_len:255 ~max_path_len:4096 "a/./..") in
-  check_bool "relative" false q.Path.absolute;
-  Alcotest.(check (list string)) "keeps dots" [ "a"; "."; ".." ] q.Path.components
+  check_bool "valid" true (Path.check ~max_name_len:255 ~max_path_len:4096 "/a//b/" = None);
+  Alcotest.(check (list string)) "components" [ "a"; "b" ] (components "/a//b/");
+  check_bool "trailing slash" true (Path.trailing_slash "/a//b/");
+  check_bool "root has no trailing slash" false (Path.trailing_slash "/");
+  Alcotest.(check (list string)) "keeps dots" [ "a"; "."; ".." ] (components "a/./..");
+  let s = "/a//bc//" in
+  let stop = Path.last_end s (String.length s) in
+  Alcotest.(check string) "final component" "bc"
+    (String.sub s (Path.last_start s stop) (stop - Path.last_start s stop));
+  Alcotest.(check int) "only slashes" 0 (Path.last_end "///" 3)
 
 let test_path_join_basename () =
   Alcotest.(check string) "join" "/a/b" (Path.join "/a" "b");
